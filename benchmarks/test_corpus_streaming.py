@@ -23,8 +23,8 @@ SEED = 11
 
 
 def _compute_only_mix():
-    """A corpus-grammar workload inside the columnar envelope, so the
-    vectorized fast path carries both resident forms."""
+    """A compute-only corpus-grammar workload (no loads or stores), so the
+    two resident forms differ only in how the trace is held."""
     spec = WorkloadSpec(
         name="corpus/bench-compute",
         phases=(
@@ -56,12 +56,12 @@ def _best_of(n, fn, *args, **kwargs):
 def _streamed_run(mix, config):
     """Generation + simulation end to end, nothing resident up front."""
     trace = StreamingTrace(mix, LENGTH, seed=SEED)
-    return run_standalone(config, trace, backend="columnar")
+    return run_standalone(config, trace)
 
 
 def _materialised_run(mix, config):
     trace = generate_trace(mix, LENGTH, seed=SEED)
-    return run_standalone(config, trace, backend="columnar")
+    return run_standalone(config, trace)
 
 
 def test_corpus_streaming_throughput(benchmark, capsys):

@@ -111,61 +111,6 @@ def test_skip_ahead_compute_bound(benchmark, capsys):
     assert speedup >= 0.8
 
 
-def _compute_bound_trace():
-    """No memory operations, mild mispredict rate: the regime the columnar
-    backend vectorizes end to end (see docs/backends.md)."""
-    from repro.isa.phases import PhaseType
-
-    phase = PhaseType(
-        name="columnar_compute",
-        load_frac=0.0, store_frac=0.0, branch_frac=0.03, imul_frac=0.08,
-        dep1_frac=0.0, two_src_frac=0.0, branch_bias=0.97,
-        mean_dwell=10**9,
-    )
-    return generate_trace(
-        PhaseMix("columnar_compute", [(phase, 1.0)]), 50_000, seed=11
-    )
-
-
-def test_columnar_speedup(benchmark, capsys):
-    """Acceptance: the columnar backend is >=5x the reference interpreter
-    on a compute-bound workload, bit-identically, with the fast path
-    actually engaged (a silent fallback would benchmark the reference
-    against itself)."""
-    from repro.backend import get_backend
-
-    trace = _compute_bound_trace()
-    config = core_config("gcc")
-    reference, ref_s = _best_of(
-        3, run_standalone, config, trace, backend="reference"
-    )
-
-    benchmark.pedantic(
-        run_standalone, args=(config, trace),
-        kwargs={"backend": "columnar"}, rounds=3, iterations=1,
-    )
-    fast_s = benchmark.stats.stats.min
-    stats = get_backend("columnar").stats
-    engaged_before = stats.fast_runs
-    fast = run_standalone(config, trace, backend="columnar")
-    assert stats.fast_runs == engaged_before + 1, (
-        f"columnar fast path fell back: {stats.fallback_reasons}"
-    )
-    assert dataclasses.asdict(fast) == dataclasses.asdict(reference)
-
-    speedup = ref_s / max(fast_s, 1e-9)
-    benchmark.extra_info["instructions"] = fast.instructions
-    benchmark.extra_info["instrs_per_sec"] = fast.instructions / fast_s
-    benchmark.extra_info["instrs_per_sec_reference"] = (
-        reference.instructions / ref_s
-    )
-    benchmark.extra_info["columnar_speedup"] = speedup
-    with capsys.disabled():
-        print(f"\ncolumnar (compute-bound): {speedup:.2f}x, "
-              f"{fast.cycles} cycles for {fast.instructions} instrs")
-    assert speedup >= 5.0
-
-
 def test_telemetry_overhead(benchmark, capsys):
     """Tracing must be free when off and cheap when on.
 

@@ -2,14 +2,14 @@
 
 ``repro.faults`` breaks the *simulated* machine; this package breaks the
 machinery running it: worker processes, the process pool, persistent
-store writes, and backend dispatch.  A seeded
+store writes, and single jobs in a worker.  A seeded
 :class:`~repro.chaos.plan.ChaosPlan` drives a
 :class:`~repro.chaos.engine.HarnessChaos` runtime whose hooks hang off
-``ParallelExecutor(chaos=...)``, ``ResultStore(chaos=...)`` and the
-backend registry — hoisted ``is not None`` checks, zero cost when absent
-(the same observer pattern as telemetry).  ``tests/chaos`` pins the
-convergence invariant: under any schedule, a batch ends bit-identical to
-a chaos-free run with an fsck-clean store.  See ``docs/robustness.md``.
+``ParallelExecutor(chaos=...)`` and ``ResultStore(chaos=...)`` — hoisted
+``is not None`` checks, zero cost when absent (the same observer pattern
+as telemetry).  ``tests/chaos`` pins the convergence invariant: under any
+schedule, a batch ends bit-identical to a chaos-free run with an
+fsck-clean store.  See ``docs/robustness.md``.
 """
 
 from repro.chaos.engine import CRASH_EXIT_STATUS, ChaosStats, HarnessChaos
@@ -18,8 +18,6 @@ from repro.chaos.hooks import (
     ChaosBackendError,
     KILL_EXIT_STATUS,
     apply_action,
-    arm_backend_failure,
-    disarm_backend_failure,
 )
 from repro.chaos.plan import SITES, ChaosPlan
 
@@ -33,6 +31,4 @@ __all__ = [
     "KILL_EXIT_STATUS",
     "SITES",
     "apply_action",
-    "arm_backend_failure",
-    "disarm_backend_failure",
 ]

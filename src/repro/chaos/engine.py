@@ -6,8 +6,8 @@ a :class:`~repro.engine.store.ResultStore` built over the same instance —
 so its per-site tick counters advance in hook-invocation order and its
 budgets bound the *total* injections across the whole harness.  All
 hooks are behind hoisted ``is not None`` checks at their call sites
-(executors, store, backend dispatch), so a harness without a runtime
-attached pays a single pointer comparison per site.
+(executors, store), so a harness without a runtime attached pays a
+single pointer comparison per site.
 """
 
 import os
@@ -55,7 +55,7 @@ class ChaosStats:
     torn_writes: int = 0
     #: store appends with one payload bit flipped
     bitflips: int = 0
-    #: backend dispatch failures armed
+    #: single jobs failed in a worker (``backend-fail`` directives)
     backend_fails: int = 0
     #: harness crashes fired (``crash_after_writes``)
     crashes: int = 0

@@ -1,4 +1,4 @@
-"""Worker-side chaos action application and the backend failure arm.
+"""Worker-side chaos action application.
 
 The parent-side :class:`~repro.chaos.engine.HarnessChaos` runtime makes
 every injection *decision*; worker processes receive explicit, picklable
@@ -8,11 +8,11 @@ schedules convergent: a respawned worker holds no chaos state, so a lost
 chunk can never be re-killed by a stale counter — the parent's monotone
 site ticks alone decide, and their budgets bound total injections.
 
-``backend-fail`` directives arm a process-global one-shot hook in
-:mod:`repro.backend.base` (the same hoisted ``is not None`` pattern as
-telemetry): the next backend dispatch in that worker raises
-:class:`ChaosBackendError`, the job errors, and the executor's ordinary
-retry path re-runs it clean.
+A ``backend-fail`` directive raises :class:`ChaosBackendError` on the
+spot.  :func:`apply_action` runs inside the chunk runner's per-job
+``try``, so the failure lands on exactly the job the directive was
+scheduled on — whatever its kind — and the executor's ordinary retry
+path re-runs it clean.
 """
 
 import os
@@ -21,7 +21,7 @@ from typing import Tuple
 
 #: One worker-side directive: ``(kind, arg)`` with kinds ``"kill"``
 #: (SIGKILL-equivalent hard exit), ``"hang"`` / ``"slow"`` (sleep ``arg``
-#: seconds), ``"backend-fail"`` (arm a one-shot backend dispatch failure).
+#: seconds), ``"backend-fail"`` (fail the job the directive is attached to).
 Action = Tuple[str, float]
 
 #: exit status of a chaos-killed worker (distinguishable in core dumps /
@@ -30,39 +30,7 @@ KILL_EXIT_STATUS = 113
 
 
 class ChaosBackendError(RuntimeError):
-    """Injected mid-job failure of the simulation backend layer."""
-
-
-#: one-shot arm count consumed by :func:`_backend_hook`
-_backend_armed = 0
-
-
-def _backend_hook(name: str) -> None:
-    """Installed into ``repro.backend.base``; raises while armed."""
-    global _backend_armed
-    if _backend_armed > 0:
-        _backend_armed -= 1
-        raise ChaosBackendError(
-            f"chaos: injected backend failure dispatching {name!r}"
-        )
-
-
-def arm_backend_failure(count: int = 1) -> None:
-    """Make the next ``count`` backend dispatches in this process raise."""
-    global _backend_armed
-    from repro.backend.base import install_backend_chaos_hook
-
-    _backend_armed = count
-    install_backend_chaos_hook(_backend_hook)
-
-
-def disarm_backend_failure() -> None:
-    """Clear the backend failure hook (tests)."""
-    global _backend_armed
-    from repro.backend.base import install_backend_chaos_hook
-
-    _backend_armed = 0
-    install_backend_chaos_hook(None)
+    """Injected failure of one job in a worker process."""
 
 
 def apply_action(action: Action) -> None:
@@ -78,6 +46,6 @@ def apply_action(action: Action) -> None:
     elif kind == "hang" or kind == "slow":
         time.sleep(arg)
     elif kind == "backend-fail":
-        arm_backend_failure()
+        raise ChaosBackendError("chaos: injected job failure")
     else:
         raise ValueError(f"unknown chaos action {kind!r}")

@@ -3,7 +3,7 @@
 A :class:`~repro.faults.FaultPlan` perturbs the simulated machine; a
 :class:`ChaosPlan` perturbs the machinery that runs it — worker processes,
 the process pool, the persistent :class:`~repro.engine.store.ResultStore`,
-and the backend dispatch layer.  The two layers share one methodology
+and single jobs in a worker.  The two layers share one methodology
 (*Validating Simplified Processor Models in Architectural Studies*): keep
 a complex, failure-prone path honest by differencing it against a trusted
 clean path.  Here the invariant under test is **convergence**: a batch run
@@ -78,8 +78,8 @@ class ChaosPlan:
 
     All fields default to "no fault"; a default-constructed plan is a
     no-op.  Rates are per site visit (one chunk-job slot, one pool
-    submit, one store append, one backend dispatch) and each site fires
-    at most ``max_per_site`` times per runtime instance.
+    submit, one store append) and each site fires at most
+    ``max_per_site`` times per runtime instance.
     """
 
     seed: int = 0
@@ -99,7 +99,7 @@ class ChaosPlan:
     torn_write_rate: float = 0.0
     #: per-append probability one bit of the framed record is flipped
     bitflip_rate: float = 0.0
-    #: per-dispatch probability the backend raises mid-job
+    #: per-job-slot probability the job fails before it runs
     backend_fail_rate: float = 0.0
     #: hard-exit the process after this many completed store writes
     #: (0 = never).  Simulates a harness crash mid-batch; the soak

@@ -21,7 +21,6 @@ simulated — replays from cache; pass ``--no-cache`` to force a fresh run.
 import argparse
 from typing import List, Optional
 
-from repro.backend import BACKEND_CHOICES, resolve_backend_name
 from repro.core.system import ContestingSystem
 from repro.corpus import resolve_profile
 from repro.engine import ContestJob, ResultStore, SimEngine, StandaloneJob
@@ -105,12 +104,6 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--latency-ns", type=float, default=1.0)
     parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="reference",
-        help="execution engine (see docs/backends.md): 'columnar' is the "
-             "NumPy fast path with deterministic reference fallback, "
-             "'auto' picks it when NumPy is importable (default: reference)",
-    )
-    parser.add_argument(
         "--lagger-policy", choices=("disable", "resync"), default="disable"
     )
     fault = parser.add_argument_group(
@@ -179,9 +172,6 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
         args.workload if args.workload in APPENDIX_A_CORES else "gcc"
     ]
     configs = [core_config(name) for name in cores]
-    # "auto" resolves here, at the environment boundary: jobs and cache
-    # keys only ever carry a concrete backend name
-    backend = resolve_backend_name(args.backend)
     trace_ref = _trace_ref_from_args(args)
     engine = SimEngine(
         store=None if args.no_cache else ResultStore(args.cache_dir)
@@ -202,13 +192,10 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
                          "(two or more --core)")
         if tracer is not None:
             result = run_standalone(
-                configs[0], resolve_trace(trace_ref), tracer=tracer,
-                backend=backend,
+                configs[0], resolve_trace(trace_ref), tracer=tracer
             )
         else:
-            result = engine.run(
-                StandaloneJob(configs[0], trace_ref, backend=backend)
-            )
+            result = engine.run(StandaloneJob(configs[0], trace_ref))
         print(
             f"{result.trace_name} on {configs[0].name}: {result.ipt:.3f} IPT "
             f"({result.ipc:.2f} IPC, {result.cycles} cycles, "
@@ -246,7 +233,6 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
                 lagger_policy=args.lagger_policy,
                 faults=faults,
                 tracer=tracer,
-                backend=backend,
             ).run()
         else:
             result = engine.run(ContestJob(
@@ -254,7 +240,6 @@ def sim_main(argv: Optional[List[str]] = None) -> int:
                 grb_latency_ns=args.latency_ns,
                 lagger_policy=args.lagger_policy,
                 faults=faults,
-                backend=backend,
             ))
         print(
             f"{result.trace_name} contested on {'+'.join(cores)}: "

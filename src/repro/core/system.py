@@ -220,7 +220,6 @@ class ContestingSystem:
         # a repro.telemetry.Tracer (annotated loosely: telemetry is an
         # observer layer and the model must not depend on it)
         tracer: Optional[Any] = None,
-        backend: str = "reference",
     ) -> None:
         if len(configs) < 2:
             raise ValueError("contesting requires at least two cores")
@@ -248,15 +247,6 @@ class ContestingSystem:
         self.lagger_policy = lagger_policy
         self.resync_penalty_cycles = resync_penalty_cycles
         self.resyncs = 0
-        #: which execution engine drives the cores.  Contested execution
-        #: re-couples cores mid-region (GRB injections, resyncs, the
-        #: synchronizing store queue), which is outside the columnar
-        #: capability — :func:`repro.backend.backend_for_contest` resolves
-        #: any contest-incapable request to the reference engine and counts
-        #: the fallback on the requested backend's stats.
-        from repro.backend import backend_for_contest
-
-        self.backend = backend_for_contest(backend)
         peak_ips = max(cfg.peak_ips for cfg in configs)
         self.max_lag = max_lag or max(2048, int(4 * grb_latency_ns * peak_ips))
         self._grace_ps = ns_to_ps(sat_grace_ns)

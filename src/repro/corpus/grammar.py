@@ -4,8 +4,8 @@ A workload here is *data*, not code: a :class:`WorkloadSpec` names a set of
 phase templates from the :mod:`repro.isa.phases` vocabulary, the parameter
 overrides applied to each, and the mixture weights.  ``build_mix()`` turns
 the spec into the same :class:`~repro.isa.phases.PhaseMix` shape the
-hand-written benchmark profiles use, so the generator, the backends and the
-engine are entirely unaware of where a mixture came from.
+hand-written benchmark profiles use, so the generator, the simulator and
+the engine are entirely unaware of where a mixture came from.
 
 Three properties make the grammar safe to grow:
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.regions import BASE_REGION, RegionLog, region_log
-from repro.backend.base import CONCRETE_BACKENDS
 from repro.core.system import ContestingSystem, ContestResult
 from repro.corpus.registry import profile_key, resolve_profile
 from repro.faults import FaultPlan
@@ -60,7 +59,7 @@ class TraceSpec:
     recipe's length is no longer capped by memory.  Streaming execution is
     bit-identical to materialised execution (pinned by ``tests/corpus``),
     but the flag still keys the cache — a key describes the requested
-    computation, mirroring how the backend field is treated.
+    computation.
     """
 
     profile: str
@@ -155,43 +154,22 @@ class StandaloneJob:
     trace: TraceLike
     region_size: int = 0
     prewarm: bool = True
-    #: execution engine: ``"reference"`` or ``"columnar"``.  Jobs never
-    #: carry ``"auto"`` — resolve it (``repro.backend.resolve_backend_name``)
-    #: before constructing the job, so a cache key describes the requested
-    #: computation, not what happened to be installed when it was built.
-    backend: str = "reference"
 
     #: result-store record type
     kind = "standalone"
 
-    def __post_init__(self) -> None:
-        if self.backend not in CONCRETE_BACKENDS:
-            raise ValueError(
-                f"job backend must be concrete ({', '.join(CONCRETE_BACKENDS)}), "
-                f"not {self.backend!r}"
-            )
-
     def cache_key(self) -> str:
-        """Content hash of config, trace and run knobs.
-
-        The backend joins the key only when it is not the reference, so
-        every pre-existing (reference) cache entry keeps its identity —
-        and reference and columnar results never alias each other.
-        """
-        parts = (
+        """Content hash of config, trace and run knobs."""
+        return _digest(
             SCHEMA_VERSION, self.kind, self.config.fingerprint(),
             trace_fingerprint(self.trace), self.region_size, self.prewarm,
         )
-        if self.backend != "reference":
-            parts = parts + (("backend", self.backend),)
-        return _digest(*parts)
 
     def run(self) -> StandaloneResult:
         """Execute the job in this process."""
         return run_standalone(
             self.config, resolve_trace(self.trace),
             region_size=self.region_size, prewarm=self.prewarm,
-            backend=self.backend,
         )
 
 
@@ -233,28 +211,14 @@ class ContestJob:
     resync_penalty_cycles: int = 100
     #: optional fault-injection plan (see :mod:`repro.faults`)
     faults: Optional[FaultPlan] = None
-    #: execution engine (``"reference"`` or ``"columnar"``; never
-    #: ``"auto"`` — see :class:`StandaloneJob`).  Contested execution is
-    #: outside the columnar capability today, so a columnar contest falls
-    #: back to the reference engine deterministically — but the field still
-    #: keys the cache, keeping the routing decision explicit and replayable.
-    backend: str = "reference"
 
     kind = "contest"
-
-    def __post_init__(self) -> None:
-        if self.backend not in CONCRETE_BACKENDS:
-            raise ValueError(
-                f"job backend must be concrete ({', '.join(CONCRETE_BACKENDS)}), "
-                f"not {self.backend!r}"
-            )
 
     def cache_key(self) -> str:
         """Content hash of every config, the trace, and the contest knobs.
 
-        A fault plan joins the key only when one is installed, and the
-        backend only when it is not the reference, so every pre-existing
-        cache entry keeps its identity.
+        A fault plan joins the key only when one is installed, so every
+        pre-existing (fault-free) cache entry keeps its identity.
         """
         parts = (
             SCHEMA_VERSION, self.kind,
@@ -265,8 +229,6 @@ class ContestJob:
         )
         if self.faults is not None:
             parts = parts + (("faults", self.faults.fingerprint()),)
-        if self.backend != "reference":
-            parts = parts + (("backend", self.backend),)
         return _digest(*parts)
 
     def run(self) -> ContestResult:
@@ -276,7 +238,7 @@ class ContestJob:
             grb_latency_ns=self.grb_latency_ns, max_lag=self.max_lag,
             sat_grace_ns=self.sat_grace_ns, lagger_policy=self.lagger_policy,
             resync_penalty_cycles=self.resync_penalty_cycles,
-            faults=self.faults, backend=self.backend,
+            faults=self.faults,
         )
         return system.run()
 

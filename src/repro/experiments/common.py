@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.regions import BASE_REGION, RegionLog
 from repro.analysis.switching import pair_switch_time
-from repro.backend import resolve_backend_name
 from repro.core.system import ContestResult
 from repro.faults import FaultPlan
 from repro.engine import (
@@ -78,7 +77,6 @@ class ExperimentContext:
         benchmarks: Sequence[str] = BENCHMARKS,
         seed: Optional[int] = None,
         engine: Optional[SimEngine] = None,
-        backend: str = "reference",
     ) -> None:
         try:
             preset = SCALES[scale]
@@ -86,9 +84,6 @@ class ExperimentContext:
             raise ValueError(
                 f"unknown scale {scale!r}; expected one of {sorted(SCALES)}"
             ) from None
-        # accept "auto" here (the runner's --backend forwards verbatim) but
-        # store only a concrete name: jobs and cache keys never see "auto"
-        self.backend = resolve_backend_name(backend)
         if seed is not None:
             preset = ExperimentScale(
                 name=preset.name,
@@ -120,9 +115,7 @@ class ExperimentContext:
 
     def standalone(self, bench: str, config: CoreConfig) -> StandaloneResult:
         """Standalone run of the benchmark on a config (engine-cached)."""
-        return self.engine.run(StandaloneJob(
-            config, self.trace_spec(bench), backend=self.backend,
-        ))
+        return self.engine.run(StandaloneJob(config, self.trace_spec(bench)))
 
     def standalone_ipt(self, bench: str, core_name: str) -> float:
         """IPT of the benchmark on a named Appendix-A core."""
@@ -181,7 +174,6 @@ class ExperimentContext:
             sat_grace_ns=sat_grace_ns,
             lagger_policy=lagger_policy,
             faults=faults,
-            backend=self.backend,
         )
 
     # --- derived artefacts ----------------------------------------------
@@ -198,10 +190,7 @@ class ExperimentContext:
             for name in self.core_names
         ]
         results = self.engine.run_many([
-            StandaloneJob(
-                core_config(name), self.trace_spec(bench),
-                backend=self.backend,
-            )
+            StandaloneJob(core_config(name), self.trace_spec(bench))
             for bench, name in cells
         ])
         matrix: Dict[str, Dict[str, float]] = {
@@ -220,9 +209,7 @@ class ExperimentContext:
         for bench in self.benchmarks:
             spec = self.trace_spec(bench)
             for name in self.core_names:
-                jobs.append(StandaloneJob(
-                    core_config(name), spec, backend=self.backend,
-                ))
+                jobs.append(StandaloneJob(core_config(name), spec))
                 jobs.append(RegionLogJob(core_config(name), spec, BASE_REGION))
         self.engine.run_many(jobs)
         if contests:

@@ -97,7 +97,7 @@ def run(
     # one engine batch: |workloads| x |cores| streaming standalone jobs
     cells = [(name, core) for name in workloads for core in SWEEP_CORES]
     results = ctx.engine.run_many([
-        StandaloneJob(core_config(core), specs[name], backend=ctx.backend)
+        StandaloneJob(core_config(core), specs[name])
         for name, core in cells
     ])
 

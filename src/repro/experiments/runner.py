@@ -27,7 +27,6 @@ import traceback
 from types import ModuleType
 from typing import Any, Callable, Dict, List, Optional, Sequence, TextIO
 
-from repro.backend import BACKEND_CHOICES
 from repro.engine import ParallelExecutor, ResultStore, SimEngine
 from repro.telemetry import (
     StatRegistry,
@@ -121,7 +120,6 @@ def run_all(
     stream: Optional[Any] = None,  # anything with write(); see _Tee below
     engine: Optional[SimEngine] = None,
     keep_going: bool = False,
-    backend: str = "reference",
 ) -> Dict[str, Any]:
     """Run the selected experiments, print each, return the result dict.
 
@@ -133,7 +131,7 @@ def run_all(
     first error.
     """
     stream = stream if stream is not None else sys.stdout
-    ctx = ExperimentContext(scale=scale, engine=engine, backend=backend)
+    ctx = ExperimentContext(scale=scale, engine=engine)
     selected = list(names) if names else list(EXPERIMENTS)
     results: Dict[str, Any] = {}
     errors: Dict[str, str] = {}
@@ -273,12 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="disable the persistent result store",
     )
     parser.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="reference",
-        help="execution engine for simulation jobs (see docs/backends.md); "
-             "'auto' picks the columnar fast path when NumPy is importable "
-             "(default: reference)",
-    )
-    parser.add_argument(
         "--verbose", "-v", action="store_true",
         help="per-experiment timing and engine/store counters on stderr",
     )
@@ -336,7 +328,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     stream=_Tee(sys.stdout, fh),
                     engine=engine,
                     keep_going=args.keep_going,
-                    backend=args.backend,
                 )
         except SuiteFailure as failure:
             print(f"[runner] {failure}", file=sys.stderr)
@@ -349,7 +340,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         run_all(
             scale=args.scale, names=args.names or None, engine=engine,
-            keep_going=args.keep_going, backend=args.backend,
+            keep_going=args.keep_going,
         )
     except SuiteFailure as failure:
         print(f"[runner] {failure}", file=sys.stderr)

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Sequence
 if TYPE_CHECKING:
     from repro.engine.engine import SimEngine
 
-from repro.backend import resolve_backend_name
 from repro.engine.jobs import (
     ContestJob,
     SimJob,
@@ -54,15 +53,12 @@ class WorkloadObjective(EngineObjective):
     """IPT of one workload on the candidate core (benchmark customisation,
     the paper's Appendix-A setting)."""
 
-    def __init__(self, trace: TraceLike, backend: str = "reference") -> None:
+    def __init__(self, trace: TraceLike) -> None:
         self.trace = trace
-        # "auto" is resolved here, once: the jobs an objective declares must
-        # be identical across processes, whatever happens to be installed
-        self.backend = resolve_backend_name(backend)
 
     def jobs(self, config: CoreConfig) -> List[SimJob]:
         """One standalone run."""
-        return [StandaloneJob(config, self.trace, backend=self.backend)]
+        return [StandaloneJob(config, self.trace)]
 
     def combine(self, results: Sequence[object]) -> float:
         """The run's IPT."""
@@ -73,20 +69,14 @@ class SuiteObjective(EngineObjective):
     """Harmonic-mean IPT over a suite (the paper's whole-suite exploration,
     Section 6.2, which found no core meaningfully better than gcc's)."""
 
-    def __init__(
-        self, traces: Sequence[TraceLike], backend: str = "reference"
-    ) -> None:
+    def __init__(self, traces: Sequence[TraceLike]) -> None:
         if not traces:
             raise ValueError("SuiteObjective needs at least one trace")
         self.traces = tuple(traces)
-        self.backend = resolve_backend_name(backend)
 
     def jobs(self, config: CoreConfig) -> List[SimJob]:
         """One standalone run per suite member."""
-        return [
-            StandaloneJob(config, t, backend=self.backend)
-            for t in self.traces
-        ]
+        return [StandaloneJob(config, t) for t in self.traces]
 
     def combine(self, results: Sequence[object]) -> float:
         """Harmonic mean of the per-workload IPTs."""
@@ -104,18 +94,17 @@ class ContestPairObjective(EngineObjective):
 
     def __init__(
         self, trace: TraceLike, partner: CoreConfig,
-        grb_latency_ns: float = 1.0, backend: str = "reference",
+        grb_latency_ns: float = 1.0,
     ) -> None:
         self.trace = trace
         self.partner = partner
         self.grb_latency_ns = grb_latency_ns
-        self.backend = resolve_backend_name(backend)
 
     def jobs(self, config: CoreConfig) -> List[SimJob]:
         """One 2-way contest."""
         return [ContestJob(
             configs=(config, self.partner), trace=self.trace,
-            grb_latency_ns=self.grb_latency_ns, backend=self.backend,
+            grb_latency_ns=self.grb_latency_ns,
         )]
 
     def combine(self, results: Sequence[object]) -> float:
@@ -145,32 +134,25 @@ def evaluate_candidates(
     return scores
 
 
-def workload_objective(
-    trace: TraceLike, backend: str = "reference"
-) -> Objective:
+def workload_objective(trace: TraceLike) -> Objective:
     """IPT of one workload on the candidate core (see
     :class:`WorkloadObjective`)."""
-    return WorkloadObjective(trace, backend=backend)
+    return WorkloadObjective(trace)
 
 
-def suite_objective(
-    traces: Sequence[TraceLike], backend: str = "reference"
-) -> Objective:
+def suite_objective(traces: Sequence[TraceLike]) -> Objective:
     """Harmonic-mean IPT over a suite (see :class:`SuiteObjective`)."""
     if not traces:
         raise ValueError("suite_objective needs at least one trace")
-    return SuiteObjective(traces, backend=backend)
+    return SuiteObjective(traces)
 
 
 def contest_pair_objective(
-    trace: TraceLike, partner: CoreConfig, grb_latency_ns: float = 1.0,
-    backend: str = "reference",
+    trace: TraceLike, partner: CoreConfig, grb_latency_ns: float = 1.0
 ) -> Objective:
     """Contested IPT of (candidate, partner) on a workload (see
     :class:`ContestPairObjective`)."""
-    return ContestPairObjective(
-        trace, partner, grb_latency_ns, backend=backend
-    )
+    return ContestPairObjective(trace, partner, grb_latency_ns)
 
 
 def cached(objective: Objective) -> Objective:
@@ -191,23 +173,15 @@ def cached(objective: Objective) -> Objective:
 
 
 def objective_fingerprint(objective: Objective) -> str:
-    """A short identity string for an objective (diagnostics/logging).
-
-    A non-reference backend is folded in (the reference is implicit, so
-    identities from before the backend layer existed are unchanged).
-    """
-    suffix = ""
-    backend = getattr(objective, "backend", "reference")
-    if backend != "reference":
-        suffix = f"@{backend}"
+    """A short identity string for an objective (diagnostics/logging)."""
     if isinstance(objective, WorkloadObjective):
-        return f"workload/{trace_fingerprint(objective.trace)}{suffix}"
+        return f"workload/{trace_fingerprint(objective.trace)}"
     if isinstance(objective, SuiteObjective):
         parts = ",".join(trace_fingerprint(t) for t in objective.traces)
-        return f"suite/{parts}{suffix}"
+        return f"suite/{parts}"
     if isinstance(objective, ContestPairObjective):
         return (
             f"contest/{trace_fingerprint(objective.trace)}/"
-            f"{objective.partner.name}/{objective.grb_latency_ns}{suffix}"
+            f"{objective.partner.name}/{objective.grb_latency_ns}"
         )
     return getattr(objective, "__name__", type(objective).__name__)

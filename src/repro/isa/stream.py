@@ -160,11 +160,10 @@ class StreamingTrace:
     """A trace generated region by region, never fully resident.
 
     Satisfies the :class:`~repro.isa.trace.TraceSource` protocol, so
-    ``run_standalone`` and both backends consume it directly: the
-    reference core reads the windowed :meth:`decoded` columns, the
-    columnar backend schedules :meth:`chunks` with carried pipeline state.
-    ``fingerprint()`` streams the v2 hash recipe and is bit-identical to
-    the materialised trace's (``tests/corpus`` pins all three surfaces).
+    ``run_standalone`` consumes it directly: the core reads the windowed
+    :meth:`decoded` columns.  ``fingerprint()`` streams the v2 hash recipe
+    and is bit-identical to the materialised trace's (``tests/corpus``
+    pins both surfaces).
     """
 
     def __init__(

@@ -13,14 +13,14 @@ Shapes (full reference in ``docs/service.md``)::
     {"kind": "standalone",
      "config": "gcc" | {<CoreConfig fields, l1/l2 as objects>},
      "trace": {"profile": "gcc", "length": 300, "seed": 7},
-     "region_size": 0, "prewarm": true, "backend": "reference"}
+     "region_size": 0, "prewarm": true}
 
     {"kind": "region_log", "config": ..., "trace": ..., "region_size": 20}
 
     {"kind": "contest", "configs": [..., ...], "trace": ...,
      "grb_latency_ns": 1.0, "max_lag": 0, "sat_grace_ns": 400.0,
      "lagger_policy": "disable", "resync_penalty_cycles": 100,
-     "faults": null | {<FaultPlan fields>}, "backend": "reference"}
+     "faults": null | {<FaultPlan fields>}}
 
 Core configurations come **by name** (the Appendix-A palette) or **by
 value** (every :class:`~repro.uarch.config.CoreConfig` field inline).
@@ -32,7 +32,6 @@ what the spec-keyed cache identity exists to avoid.
 import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
-from repro.backend.base import CONCRETE_BACKENDS
 from repro.corpus.registry import profile_key
 from repro.engine.jobs import (
     ContestJob,
@@ -207,16 +206,6 @@ def decode_fault_plan(payload: object) -> Optional[FaultPlan]:
 # ------------------------------------------------------------------- jobs
 
 
-def _decode_backend(payload: Mapping[str, Any], what: str) -> str:
-    backend = _typed(payload, "backend", (str,), what, default="reference")
-    if backend not in CONCRETE_BACKENDS:
-        raise CodecError(
-            f"{what}.backend must be one of {', '.join(CONCRETE_BACKENDS)} "
-            f"(never 'auto' over the wire), got {backend!r}"
-        )
-    return backend
-
-
 def decode_job(payload: object) -> SimJob:
     """One :data:`SimJob` from its JSON description (see module doc)."""
     job = _require_mapping(payload, "job")
@@ -224,7 +213,7 @@ def decode_job(payload: object) -> SimJob:
     if kind == "standalone":
         _check_keys(
             job,
-            ("kind", "config", "trace", "region_size", "prewarm", "backend"),
+            ("kind", "config", "trace", "region_size", "prewarm"),
             "standalone job",
         )
         return StandaloneJob(
@@ -232,7 +221,6 @@ def decode_job(payload: object) -> SimJob:
             trace=decode_trace_spec(job.get("trace")),
             region_size=_typed(job, "region_size", (int,), "job", default=0),
             prewarm=_typed(job, "prewarm", (bool,), "job", default=True),
-            backend=_decode_backend(job, "job"),
         )
     if kind == "region_log":
         _check_keys(job, ("kind", "config", "trace", "region_size"), "region_log job")
@@ -246,7 +234,7 @@ def decode_job(payload: object) -> SimJob:
             job,
             ("kind", "configs", "trace", "grb_latency_ns", "max_lag",
              "sat_grace_ns", "lagger_policy", "resync_penalty_cycles",
-             "faults", "backend"),
+             "faults"),
             "contest job",
         )
         raw_configs = job.get("configs")
@@ -273,7 +261,6 @@ def decode_job(payload: object) -> SimJob:
                     job, "resync_penalty_cycles", (int,), "job", default=100
                 ),
                 faults=decode_fault_plan(job.get("faults")),
-                backend=_decode_backend(job, "job"),
             )
         except ValueError as exc:
             raise CodecError(f"bad contest job: {exc}")
@@ -325,7 +312,6 @@ def encode_job(job: SimJob) -> Dict[str, Any]:
         return {
             "kind": "standalone", "config": core(job.config), "trace": trace,
             "region_size": job.region_size, "prewarm": job.prewarm,
-            "backend": job.backend,
         }
     if isinstance(job, RegionLogJob):
         return {
@@ -344,5 +330,4 @@ def encode_job(job: SimJob) -> Dict[str, Any]:
         "faults": (
             None if job.faults is None else dataclasses.asdict(job.faults)
         ),
-        "backend": job.backend,
     }

@@ -5,7 +5,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.isa.trace import TraceSource
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import RunStats
+from repro.uarch.core import Core, RunStats
 
 if TYPE_CHECKING:  # telemetry is an observer layer, never a model import
     from repro.telemetry import Tracer
@@ -42,13 +42,8 @@ def run_standalone(
     prewarm: bool = True,
     skip_ahead: bool = True,
     tracer: Optional["Tracer"] = None,
-    backend: str = "reference",
 ) -> StandaloneResult:
     """Execute ``trace`` to completion on a core built from ``config``.
-
-    Dispatches through the :mod:`repro.backend` protocol layer; the
-    cycle-stepped interpreter itself lives in
-    :class:`repro.backend.reference.ReferenceBackend`.
 
     Parameters
     ----------
@@ -68,23 +63,47 @@ def run_standalone(
     tracer:
         Optional :class:`repro.telemetry.Tracer`; records skip-ahead jumps
         and per-op retirement counts without perturbing any result.
-    backend:
-        Which execution engine to use: ``"reference"`` (default),
-        ``"columnar"``, or ``"auto"``.  Results are bit-identical across
-        backends (pinned by ``tests/differential/test_backend.py``); a
-        backend asked to simulate something outside its capability falls
-        back to the reference backend deterministically.
     """
-    # imported lazily: repro.backend's reference engine imports this module
-    from repro.backend import get_backend, resolve_backend_name
-
-    engine = get_backend(resolve_backend_name(backend))
-    return engine.run_standalone(
-        config,
-        trace,
-        region_size=region_size,
-        max_cycles=max_cycles,
-        prewarm=prewarm,
-        skip_ahead=skip_ahead,
+    core = Core(
+        config, trace, region_size=region_size, prewarm=prewarm,
         tracer=tracer,
+    )
+    limit = max_cycles or (len(trace) * (config.mem_latency + 64) + 100_000)
+    if skip_ahead:
+        while not core.done:
+            core.step()
+            if core.cycle > limit:
+                raise RuntimeError(
+                    f"core {config.name} exceeded {limit} cycles on trace "
+                    f"{trace.name}: likely a pipeline deadlock"
+                )
+            if core.done:
+                break
+            nxt = core.next_event_cycle()
+            if nxt > core.cycle:
+                # a deadlocked core has no event at all: land just past the
+                # limit so the step above raises exactly as the slow loop
+                core.skip_to(min(nxt, limit + 1))
+    else:
+        while not core.done:
+            core.step()
+            if core.cycle > limit:
+                raise RuntimeError(
+                    f"core {config.name} exceeded {limit} cycles on trace "
+                    f"{trace.name}: likely a pipeline deadlock"
+                )
+    core.collect_cache_stats()
+    if tracer is not None:
+        tracer.finalise_core(
+            core.core_id, core.stats.committed, core.cycle, core.time_ps
+        )
+        tracer.finish(core.time_ps)
+    return StandaloneResult(
+        config_name=config.name,
+        trace_name=trace.name,
+        instructions=len(trace),
+        cycles=core.cycle,
+        time_ps=core.time_ps,
+        stats=core.stats,
+        region_times_ps=list(core.stats.region_times_ps),
     )

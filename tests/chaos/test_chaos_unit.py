@@ -11,8 +11,6 @@ from repro.chaos import (
     HarnessChaos,
     SITES,
     apply_action,
-    arm_backend_failure,
-    disarm_backend_failure,
 )
 from repro.chaos.plan import (
     SITE_BACKEND_FAIL,
@@ -24,7 +22,11 @@ from repro.chaos.plan import (
     SITE_WRITE_FAIL,
     SITE_WRITE_TORN,
 )
-from repro.backend.base import get_backend
+from repro.engine import ContestJob, StandaloneJob
+from repro.engine.executors import _run_chunk
+from repro.uarch.config import core_config
+
+from tests.chaos.conftest import SPEC_A
 
 
 class TestChaosPlan:
@@ -161,28 +163,16 @@ class TestStoreWriteBytes:
         assert chaos.store_write_bytes(self.LINE) == self.LINE
 
 
-class TestBackendHook:
-    def test_armed_hook_raises_once_then_clears(self):
-        arm_backend_failure(1)
-        try:
-            with pytest.raises(ChaosBackendError):
-                get_backend("reference")
-            # the arm is one-shot: the very next dispatch succeeds
-            assert get_backend("reference").name == "reference"
-        finally:
-            disarm_backend_failure()
-
-    def test_disarmed_hook_is_removed(self):
-        disarm_backend_failure()
-        assert get_backend("reference").name == "reference"
-
-    def test_backend_fail_action_arms(self):
-        try:
-            apply_action(("backend-fail", 0.0))
-            with pytest.raises(ChaosBackendError):
-                get_backend("reference")
-        finally:
-            disarm_backend_failure()
+class TestApplyAction:
+    def test_backend_fail_hits_its_own_job_and_nothing_after(self):
+        # a directive scheduled on a contest slot must fail that contest,
+        # and must leave nothing armed for a later chunk sent clean
+        contest = ContestJob((core_config("gcc"), core_config("gzip")), SPEC_A)
+        standalone = StandaloneJob(core_config("gcc"), SPEC_A)
+        [failed] = _run_chunk([contest], (("backend-fail", 0.0),))
+        assert failed[:2] == ("err", ChaosBackendError.__name__)
+        [clean] = _run_chunk([standalone], None)
+        assert clean[0] == "ok"
 
     def test_unknown_action_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ For each seeded :meth:`ChaosPlan.sample` schedule, a forked child process
 runs the shared mixed batch through a ``ParallelExecutor`` and a shared
 ``ResultStore`` with the full chaos runtime attached — workers killed and
 hung, the pool broken at submit, store writes failed/torn/bit-flipped,
-backend dispatch erroring mid-job, and (on crash schedules) the whole
+single jobs failed in the worker, and (on crash schedules) the whole
 harness ``os._exit``-ing mid-batch.  The driver restarts crashed harnesses
 against the same store until a run completes, then asserts the invariant
 the whole layer exists for:

@@ -42,8 +42,8 @@ CONFIG = "gcc"
 
 
 def compute_only_spec() -> WorkloadSpec:
-    """A grammar workload inside the columnar envelope (no memory ops):
-    shared by the streaming parity, memory-cap and throughput tests."""
+    """A compute-only grammar workload (no loads or stores), so memory is
+    all trace: shared by the memory-cap and streaming-throughput checks."""
     return WorkloadSpec(
         name="corpus/compute-only",
         phases=(

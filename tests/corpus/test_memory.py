@@ -3,7 +3,7 @@
 The acceptance criterion for streaming generation is that trace length is
 no longer bounded by resident memory: a 10^6-instruction workload
 simulates to completion while peak RSS stays far below what materialising
-the same trace demonstrably costs (~300 MB; streamed runs measure ~40 MB).
+the same trace demonstrably costs (~300 MB; streamed runs measure ~30 MB).
 The run happens in a fresh subprocess so ``ru_maxrss`` reflects this
 workload alone, not whatever the test session already touched.
 """
@@ -15,11 +15,9 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")  # the cap assumes the columnar fast path
-
 SRC = Path(__file__).parents[2] / "src"
 LENGTH = 1_000_000
-#: generous against the measured ~40 MB streamed peak, far below the
+#: generous against the measured ~30 MB streamed peak, far below the
 #: ~300 MB a materialised run of the same recipe costs
 CAP_MB = 160
 
@@ -34,7 +32,7 @@ _SCRIPT = textwrap.dedent(
 
     mix = compute_only_spec().build_mix()
     trace = StreamingTrace(mix, {length}, seed=11)
-    result = run_standalone(core_config("gcc"), trace, backend="columnar")
+    result = run_standalone(core_config("gcc"), trace)
     assert result.instructions == {length}, result.instructions
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{{result.ipc:.6f}} {{peak_mb:.1f}}")

@@ -1,12 +1,12 @@
 """Streaming-vs-materialised differential parity.
 
 The streaming trace's contract is *bit-identical* simulation: for any
-profile, any backend, any chunk size, running the streamed trace must
-produce exactly the result of running the materialised trace — every
-stat, every per-region retire time at ``region_size=1``, every cache
-counter.  The fast slice covers a representative spread on every push;
-the ``slow``-marked full legacy matrix plus the sampled grammar matrix
-runs nightly, like ``tests/differential/test_backend.py``.
+profile and any chunk size, running the streamed trace must produce
+exactly the result of running the materialised trace — every stat, every
+per-region retire time at ``region_size=1``, every cache counter.  The
+fast slice covers a representative spread on every push; the
+``slow``-marked full legacy matrix plus the sampled grammar matrix runs
+nightly.
 """
 
 import dataclasses
@@ -27,8 +27,7 @@ from tests.differential.diffutil import _assert_dicts_equal
 
 
 def assert_streaming_identical(
-    config, mix, length, seed=11, backend="reference", chunk_size=None,
-    **kwargs,
+    config, mix, length, seed=11, chunk_size=None, **kwargs,
 ):
     """Run materialised and streamed and require bit-identical results."""
     from repro.isa.generator import generate_trace
@@ -36,12 +35,12 @@ def assert_streaming_identical(
     materialised = generate_trace(mix, length, seed=seed)
     stream_kwargs = {} if chunk_size is None else {"chunk_size": chunk_size}
     streamed = StreamingTrace(mix, length, seed=seed, **stream_kwargs)
-    want = run_standalone(config, materialised, backend=backend, **kwargs)
-    got = run_standalone(config, streamed, backend=backend, **kwargs)
+    want = run_standalone(config, materialised, **kwargs)
+    got = run_standalone(config, streamed, **kwargs)
     _assert_dicts_equal(
         dataclasses.asdict(got),
         dataclasses.asdict(want),
-        f"streaming {config.name} on {mix.name} [{backend}]",
+        f"streaming {config.name} on {mix.name}",
     )
     assert streamed.fingerprint() == materialised.fingerprint()
 
@@ -72,33 +71,6 @@ def test_parity_at_tiny_chunk_sizes():
     assert_streaming_identical(
         core_config("crafty"), workload_profile("vpr"), 2000,
         chunk_size=97, region_size=1,
-    )
-
-
-def test_columnar_backend_parity_streaming():
-    np = pytest.importorskip("numpy")  # noqa: F841
-    from repro.backend import get_backend
-
-    # compute-only sampled grammar spec: the columnar fast path engages,
-    # exercising the chunked scheduler's carried pipeline state
-    from tests.corpus.fixture import compute_only_spec
-
-    mix = compute_only_spec().build_mix()
-    stats = get_backend("columnar").stats
-    before = stats.fast_runs
-    assert_streaming_identical(
-        core_config("gcc"), mix, 4000, backend="columnar", region_size=1,
-    )
-    assert stats.fast_runs > before, "columnar fast path did not engage"
-
-
-def test_columnar_fallback_parity_streaming():
-    pytest.importorskip("numpy")
-    # memory ops push this outside the columnar envelope: the certificate
-    # routes to the reference loop, which must consume the stream too
-    assert_streaming_identical(
-        core_config("gcc"), workload_profile("gcc"), 2500,
-        backend="columnar", region_size=1,
     )
 
 
@@ -151,20 +123,10 @@ class TestEngineIntegration:
 @pytest.mark.slow
 @pytest.mark.parametrize("profile", BENCHMARKS)
 def test_full_legacy_parity_matrix(profile):
-    """All 11 legacy profiles, reference backend, retire streams pinned."""
+    """All 11 legacy profiles, retire streams pinned."""
     assert_streaming_identical(
         core_config(profile), workload_profile(profile), 6000,
         region_size=1,
-    )
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("profile", BENCHMARKS[::2])
-def test_full_legacy_parity_columnar(profile):
-    pytest.importorskip("numpy")
-    assert_streaming_identical(
-        core_config("gcc"), workload_profile(profile), 6000,
-        backend="columnar", region_size=1,
     )
 
 

@@ -5,10 +5,9 @@ every store record, every dedup decision, and every cross-session cache
 hit keys on it.  An accidental change — a reordered repr field, an int
 drifting to float, a renamed knob — silently orphans every cached result
 and (worse) can alias two different jobs.  This fixture freezes the keys
-of a representative job matrix — every job kind, both concrete backends,
-faults on and off, spec- and value-identity traces — in a checked-in
-JSON file that ``tests/engine/test_cache_key_golden.py`` compares against
-on every run.
+of a representative job matrix — every job kind, faults on and off,
+spec- and value-identity traces — in a checked-in JSON file that
+``tests/engine/test_cache_key_golden.py`` compares against on every run.
 
 After an **intended** identity change (which must come with a
 ``SCHEMA_VERSION`` bump — the version is part of every key, so bumping it
@@ -43,8 +42,8 @@ FAULTS = FaultPlan(seed=3, drop_rate=0.01, kill_core=1, kill_at_commit=150)
 
 
 def job_matrix():
-    """Label → job: every kind × backend × fault arrangement that joins
-    the key, plus the knobs that must perturb it."""
+    """Label → job: every kind × fault arrangement that joins the key,
+    plus the knobs that must perturb it."""
     gcc, gzip_, vpr, mcf = (
         core_config(name) for name in ("gcc", "gzip", "vpr", "mcf")
     )
@@ -53,14 +52,11 @@ def job_matrix():
         "standalone/gcc/alt-trace": StandaloneJob(gcc, ALT_SPEC),
         "standalone/gcc/cold": StandaloneJob(gcc, SPEC, prewarm=False),
         "standalone/gcc/region-40": StandaloneJob(gcc, SPEC, region_size=40),
-        "standalone/gcc/columnar": StandaloneJob(gcc, SPEC, backend="columnar"),
         "standalone/vpr": StandaloneJob(vpr, SPEC),
         "region_log/mcf": RegionLogJob(mcf, SPEC),
         "region_log/gzip/region-40": RegionLogJob(gzip_, ALT_SPEC,
                                                   region_size=40),
         "contest/gcc-gzip": ContestJob((gcc, gzip_), SPEC),
-        "contest/gcc-gzip/columnar": ContestJob((gcc, gzip_), SPEC,
-                                                backend="columnar"),
         "contest/gcc-gzip/faults": ContestJob((gcc, gzip_), SPEC,
                                               faults=FAULTS),
         "contest/gcc-gzip/resync": ContestJob(

@@ -10,10 +10,9 @@ regression instead.
 
 import re
 
-from repro.engine.jobs import SCHEMA_VERSION, StandaloneJob
+from repro.engine.jobs import SCHEMA_VERSION
 
 from tests.engine.cache_key_fixture import (
-    SPEC,
     current_values,
     job_matrix,
     load_goldens,
@@ -53,16 +52,6 @@ def test_matrix_keys_are_distinct_hex_digests():
         assert re.fullmatch(r"[0-9a-f]{64}", key), (label, key)
     # every matrix entry describes a *different* simulation: no aliasing
     assert len(set(keys.values())) == len(keys)
-
-
-def test_reference_backend_is_key_neutral():
-    # 'reference' is the default and must hash identically to leaving the
-    # field alone — otherwise every pre-backend-layer record would orphan
-    from repro.uarch.config import core_config
-
-    job = StandaloneJob(core_config("gcc"), SPEC)
-    explicit = StandaloneJob(core_config("gcc"), SPEC, backend="reference")
-    assert job.cache_key() == explicit.cache_key()
 
 
 def test_schema_version_joins_every_key():

@@ -108,10 +108,19 @@ def test_rejects_partial_inline_config():
     rejects(payload)
 
 
-def test_rejects_auto_backend_on_the_wire():
-    payload = encode_job(StandaloneJob(core_config("gcc"), SPEC_A))
-    payload["backend"] = "auto"
-    rejects(payload)
+@pytest.mark.parametrize(
+    "job",
+    [
+        StandaloneJob(core_config("gcc"), SPEC_A),
+        ContestJob((core_config("gcc"), core_config("gzip")), SPEC_A),
+    ],
+    ids=lambda j: j.kind,
+)
+def test_rejects_backend_as_an_unknown_field(job):
+    # jobs carry no backend: the key is refused, never silently dropped
+    payload = dict(encode_job(job), backend="reference")
+    with pytest.raises(CodecError, match="unknown .* field.*: backend"):
+        decode_job(payload)
 
 
 def test_rejects_short_contest_and_bad_policy():
