@@ -294,9 +294,7 @@ class ContestingSystem:
             [c.core_id for c in self.cores], store_queue_capacity
         )
 
-        self._instrs = trace.instructions
-        decoded = trace.decoded()
-        self._ops = decoded.ops
+        self._ops = trace.ops
         self.skip_ahead = skip_ahead
         # prefix store counts (stores in trace[:k]) for re-fork accounting,
         # and the ordered store addresses for merged-store write-through to
@@ -304,8 +302,8 @@ class ContestingSystem:
         self._store_prefix = [0] * (len(trace) + 1)
         self._store_addr_list: List[int] = []
         acc = 0
-        addrs = decoded.addrs
-        for k, op in enumerate(decoded.ops):
+        addrs = trace.addrs
+        for k, op in enumerate(trace.ops):
             if op == 4:  # OP_STORE
                 acc += 1
                 self._store_addr_list.append(addrs[k])
@@ -345,7 +343,7 @@ class ContestingSystem:
         laggers.
         """
         fetch_index = core.fetch_index
-        instrs = self._instrs
+        ops = self._ops
         worst = 0
         for fifo in self.fifos[core.core_id]:
             arrivals = fifo.arrivals
@@ -362,7 +360,7 @@ class ContestingSystem:
                     continue  # payload lost/garbled in flight: discard
                 if (
                     self.early_branch_resolution
-                    and instrs[seq].op == _OP_BRANCH
+                    and ops[seq] == _OP_BRANCH
                 ):
                     core.early_resolve_branch(seq)
             if fifo.occupancy > worst:
@@ -525,6 +523,14 @@ class ContestingSystem:
         )
         if target <= core.commit_count:
             return
+        self._refork(core, target)
+        if self.tracer is not None:
+            self.tracer.resync(core.time_ps, core.core_id, target)
+
+    def _refork(self, core: Core, target: int) -> None:
+        """Re-fork ``core`` at retirement point ``target``: restart it
+        there (charging ``resync_penalty_cycles``), realign its receive
+        FIFOs and store-queue progress, and reset its saturation timer."""
         core.resync(target, penalty_cycles=self.resync_penalty_cycles)
         for fifo in self.fifos[core.core_id]:
             fifo.arrivals.clear()
@@ -536,8 +542,6 @@ class ContestingSystem:
         self._write_merged_to_shared()
         self._over_since[core.core_id] = None
         self.resyncs += 1
-        if self.tracer is not None:
-            self.tracer.resync(core.time_ps, core.core_id, target)
 
     # ------------------------------------------------------------------
     # fault orchestration (every path below requires an installed plan)
@@ -604,8 +608,8 @@ class ContestingSystem:
         """Recover a core that consumed a garbled GRB result.
 
         Detection terminates and re-forks the victim at the most advanced
-        retirement point — the same machinery ``_resync`` applies to a
-        saturated lagger, charging ``resync_penalty_cycles``.  Re-forking
+        retirement point — the same :meth:`_refork` a resynced saturated
+        lagger gets, charging ``resync_penalty_cycles``.  Re-forking
         in place (at the victim's own retirement point) is *not* enough:
         its receive FIFOs would stay misaligned and fill while it
         refetched the squashed window, tripping the saturation detector.
@@ -615,17 +619,7 @@ class ContestingSystem:
         target = max(
             (c.commit_count for c in self._active), default=core.commit_count
         )
-        core.resync(target, penalty_cycles=self.resync_penalty_cycles)
-        for fifo in self.fifos[core.core_id]:
-            fifo.arrivals.clear()
-            if fifo.next_seq < target:
-                fifo.next_seq = target
-        self.store_queue.set_progress(
-            core.core_id, self._store_prefix[target]
-        )
-        self._write_merged_to_shared()
-        self._over_since[core.core_id] = None
-        self.resyncs += 1
+        self._refork(core, target)
         self.fault_stats.recoveries += 1
         if self.tracer is not None:
             self.tracer.fault(

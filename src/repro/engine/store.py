@@ -18,9 +18,10 @@ never to a crash and never to a wrong result.  Layout on disk::
 The job-schema version is in the filename as well as in every key (see
 :mod:`repro.engine.jobs`), so bumping it simply starts a fresh file and
 leaves the stale one inert.  The *record framing* version rides inside
-each record (``"v"``): unframed format-1 lines load fine (counted as
-``legacy_lines``) and are upgraded in place by any compaction or by
-``repro-store compact``.
+each record (``"v"``).  Every served record is CRC-verified: a line
+without a frame is corrupt, like any other unverifiable line.  (Unframed
+format-1 lines predate the current file name, so no store the program
+opens holds a valid one.)
 
 Crash consistency (see ``docs/robustness.md``):
 
@@ -94,13 +95,11 @@ if TYPE_CHECKING:  # chaos is an observer layer, never a load-bearing import
 #: Default cache directory (override with $REPRO_CACHE_DIR or --cache-dir).
 DEFAULT_CACHE_DIR = "~/.cache/repro"
 
-#: Record-framing format: 2 adds the per-record CRC32 frame.  Unframed
-#: format-1 records are still read (and counted as ``legacy_lines``).
+#: Record-framing format: 2 adds the per-record CRC32 frame.
 STORE_FORMAT = 2
 
 #: Line-classification statuses produced by :func:`scan_store`.
 STATUS_OK = "ok"
-STATUS_LEGACY = "legacy"
 STATUS_CRC = "crc-mismatch"
 STATUS_CORRUPT = "corrupt"
 STATUS_TORN = "torn"
@@ -169,15 +168,15 @@ def classify_line(line: bytes) -> Tuple[str, str, str, dict]:
 
     Returns ``(status, key, kind, value)``; for non-record statuses the
     key/kind/value slots are empty.  Statuses: :data:`STATUS_OK` (framed,
-    CRC-verified), :data:`STATUS_LEGACY` (format-1, shape-valid),
-    :data:`STATUS_CRC` (framed but the CRC disagrees), or
-    :data:`STATUS_CORRUPT` (unparsable or a bad shape).
+    CRC-verified), :data:`STATUS_CRC` (framed but the CRC disagrees), or
+    :data:`STATUS_CORRUPT` (unparsable, unframed, or a bad shape).
     """
     try:
         record = json.loads(line)
         key = record["key"]
         kind = record["kind"]
         value = record["value"]
+        crc = record["crc"]
         if not isinstance(record, dict) or not isinstance(key, str):
             raise TypeError("malformed record")
         if not isinstance(kind, str) or not isinstance(value, dict):
@@ -187,13 +186,9 @@ def classify_line(line: bytes) -> Tuple[str, str, str, dict]:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError,
             UnicodeDecodeError):
         return STATUS_CORRUPT, "", "", {}
-    if "crc" not in record:
-        return STATUS_LEGACY, key, kind, value
-    if record.get("v") != STORE_FORMAT or not isinstance(
-        record["crc"], int
-    ):
+    if record.get("v") != STORE_FORMAT or not isinstance(crc, int):
         return STATUS_CRC, key, kind, value
-    if zlib.crc32(_canonical_body(key, kind, value)) != record["crc"]:
+    if zlib.crc32(_canonical_body(key, kind, value)) != crc:
         return STATUS_CRC, key, kind, value
     return STATUS_OK, key, kind, value
 
@@ -236,7 +231,7 @@ def scan_store(source: Union[str, Path, IO[bytes]]) -> Iterator[ScanRecord]:
         if not line.strip():
             continue
         status, key, kind, value = classify_line(line)
-        if not terminated and status not in (STATUS_OK, STATUS_LEGACY):
+        if not terminated and status != STATUS_OK:
             status = STATUS_TORN
         yield ScanRecord(
             status=status, key=key, kind=kind, value=value,
@@ -291,8 +286,6 @@ class ResultStore:
         self.corrupt_lines = 0
         #: framed records whose CRC32 did not match their body
         self.crc_failures = 0
-        #: unframed format-1 records accepted at load
-        self.legacy_lines = 0
         #: torn (unterminated, unverifiable) tails found at load
         self.torn_tails = 0
         #: bytes removed by torn-tail auto-truncation
@@ -326,9 +319,7 @@ class ResultStore:
                 # the cost; tests pin that the whole-file read is gone)
                 for record in scan_store(fh):
                     torn = None
-                    if record.status in (STATUS_OK, STATUS_LEGACY):
-                        if record.status == STATUS_LEGACY:
-                            self.legacy_lines += 1
+                    if record.status == STATUS_OK:
                         # later lines win: appends supersede older records
                         self._entries[record.key] = {
                             "kind": record.kind, "value": record.value,
@@ -491,8 +482,8 @@ class ResultStore:
 
     def _rewrite(self) -> None:
         """Compact: rewrite the file from the in-memory view (later-lines
-        -win already applied, corrupt lines dropped, legacy records
-        re-framed), then atomically rename into place."""
+        -win already applied, corrupt lines dropped), then atomically
+        rename into place."""
         with self._mu:
             # snapshot under the lock so a concurrent get() (which can
             # drop stale entries) never tears the iteration
@@ -575,7 +566,6 @@ class ResultStore:
             "evictions": self.evictions,
             "corrupt_lines": self.corrupt_lines,
             "crc_failures": self.crc_failures,
-            "legacy_lines": self.legacy_lines,
             "torn_tails": self.torn_tails,
             "torn_bytes_truncated": self.torn_bytes_truncated,
             "tail_heals": self.tail_heals,

@@ -4,15 +4,15 @@ Subcommands (see ``docs/robustness.md`` for the on-disk format):
 
 ``fsck``
     Stream-scan the store file and report every line's classification
-    (ok / legacy / crc-mismatch / corrupt / torn).  With ``--repair``,
-    rewrite the file keeping only verifiable records: torn tails are
-    truncated, corrupt and CRC-failing lines dropped, legacy format-1
-    records re-framed with a CRC.  Exits 0 when the file is clean (or
-    was repaired), 1 when issues were found and left in place.
+    (ok / crc-mismatch / corrupt / torn; an unframed line is corrupt).
+    With ``--repair``, rewrite the file keeping only CRC-verified
+    records: torn tails are truncated, corrupt and CRC-failing lines
+    dropped.  Exits 0 when the file is clean (or was repaired), 1 when
+    issues were found and left in place.
 
 ``compact``
-    Deduplicate (later lines win), drop anything unverifiable, re-frame
-    legacy records, and atomically rewrite the file.
+    Deduplicate (later lines win), drop anything unverifiable, and
+    atomically rewrite the file.
 
 ``stats``
     Print entry/byte counts, per-kind totals, and the load-time
@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Set
 
 from repro.engine.jobs import SCHEMA_VERSION
 from repro.engine.store import (
-    STATUS_LEGACY,
     STATUS_OK,
     ResultStore,
     default_cache_dir,
@@ -77,28 +76,24 @@ def cmd_fsck(path: Path, repair: bool) -> int:
     issues = sum(counts.get(status, 0) for status in _ISSUE_STATUSES)
     print(f"repro-store fsck: {path}")
     print(f"  lines: {total}")
-    for status in (STATUS_OK, STATUS_LEGACY) + _ISSUE_STATUSES:
+    for status in (STATUS_OK,) + _ISSUE_STATUSES:
         if counts.get(status):
             print(f"  {status}: {counts[status]}")
-    if issues == 0 and not counts.get(STATUS_LEGACY):
+    if issues == 0:
         print("  clean")
         return 0
     if not repair:
-        if issues:
-            print(f"  {issues} issue(s) found; rerun with --repair")
-            return 1
-        print("  legacy records present; rerun with --repair to re-frame")
-        return 0
+        print(f"  {issues} issue(s) found; rerun with --repair")
+        return 1
     # Loading truncates a torn tail and drops unverifiable lines; the
-    # rewrite re-frames what survives and drops the rest from disk.
+    # rewrite keeps what survives and drops the rest from disk.
     store = ResultStore(path)
     store._rewrite()
     after = _scan_summary(path) if path.exists() else {}
     remaining = sum(after.get(status, 0) for status in _ISSUE_STATUSES)
     print(
         f"  repaired: kept {len(store)} record(s), dropped "
-        f"{issues} bad line(s), re-framed "
-        f"{counts.get(STATUS_LEGACY, 0)} legacy line(s)"
+        f"{issues} bad line(s)"
     )
     if store.write_errors:
         print(f"  repair hit {store.write_errors} write error(s)")
@@ -135,7 +130,7 @@ def cmd_stats(path: Path) -> int:
     keys: Set[str] = set()
     for record in scan_store(path):
         statuses[record.status] += 1
-        if record.status in (STATUS_OK, STATUS_LEGACY):
+        if record.status == STATUS_OK:
             kinds[record.kind] += 1
             keys.add(record.key)
     print(

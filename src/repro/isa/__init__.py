@@ -7,12 +7,14 @@ deterministic trace generators whose *fine-grain phase structure* — the
 property the whole paper rests on (Section 2) — is explicit and calibrated
 per benchmark.
 
-A trace is a sequence of :class:`~repro.isa.instructions.Instr` records
-carrying everything a timing model needs: opcode class, static PC (so branch
-predictors can learn), register producer links, memory address, and the
-branch outcome.  No functional values are simulated; contesting is a timing
-phenomenon and the models in :mod:`repro.uarch` and :mod:`repro.core` only
-consume timing-relevant fields.
+A trace is six parallel columns (:class:`~repro.isa.trace.Trace`) carrying
+everything a timing model needs per dynamic instruction: opcode class,
+static PC (so branch predictors can learn), register producer links, memory
+address, and the branch outcome.  No functional values are simulated;
+contesting is a timing phenomenon and the models in :mod:`repro.uarch` and
+:mod:`repro.core` only consume timing-relevant fields.  One instruction as
+an object is an :class:`~repro.isa.instructions.Instr` row, built on demand
+by ``trace[i]`` and iteration, or written by hand to build a small trace.
 """
 
 from repro.isa.generator import generate_trace

@@ -1,27 +1,26 @@
 """Deterministic synthetic trace generation from a phase mixture.
 
-``generate_trace`` walks a Markov chain over the mixture's phase types
-(geometric dwell, no self-transitions) and emits one :class:`Instr` per step.
-Generation is fully determined by ``(mix, length, seed)``.
+Generation walks a Markov chain over the mixture's phase types (geometric
+dwell, no self-transitions) and emits one dynamic instruction per step.
+It is fully determined by ``(mix, length, seed)``.
 
 Generation is *chunked* at its core: :func:`generate_chunks` yields
-column-major :class:`TraceChunk` regions one at a time, drawing from the
-seeded RNG in exactly the per-instruction order the materialising path has
-always used, so a million-instruction trace can be produced and consumed
-region by region without ever materialising (see
-:class:`repro.isa.stream.StreamingTrace`).  :func:`generate_trace` is a
-thin consumer that assembles the chunks into a concrete
-:class:`~repro.isa.trace.Trace`; the two paths are bit-identical by
-construction and pinned by ``tests/corpus``.
+column-major :class:`~repro.isa.trace.TraceChunk` regions one at a time,
+drawing from the seeded RNG in a strictly per-instruction order, so a
+million-instruction trace can be produced and consumed region by region
+without ever materialising (see :class:`repro.isa.stream.StreamingTrace`).
+:func:`generate_trace` is a thin consumer that assembles the chunks into a
+concrete :class:`~repro.isa.trace.Trace` with
+:meth:`~repro.isa.trace.Trace.from_chunks`; the two paths are
+bit-identical by construction and pinned by ``tests/corpus``.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional
+from typing import Deque, Dict, Iterator, Optional
 
-from repro.isa.instructions import Instr, OpClass, PRODUCING_OPS
+from repro.isa.instructions import OpClass, PRODUCING_OPS
 from repro.isa.phases import PhaseMix, PhaseType
-from repro.isa.trace import Trace
+from repro.isa.trace import Trace, TraceChunk
 from repro.util.rng import Random, substream
 
 #: Default streaming-generation region size, in instructions.  A runtime
@@ -29,39 +28,6 @@ from repro.util.rng import Random, substream
 #: trace fingerprint (pinned by ``tests/corpus/test_grammar.py``), so it
 #: deliberately does NOT participate in any cache identity.
 DEFAULT_CHUNK_SIZE = 4096
-
-
-@dataclass
-class TraceChunk:
-    """One contiguous, column-major region of a generated trace.
-
-    ``start`` is the absolute index of the first instruction;
-    ``phase_starts`` holds the *absolute* indices (within this chunk) at
-    which a new fine-grain phase begins.  Columns mirror
-    :class:`~repro.isa.trace.DecodedTrace` field for field.
-    """
-
-    start: int
-    ops: List[int] = field(default_factory=list)
-    pcs: List[int] = field(default_factory=list)
-    deps1: List[int] = field(default_factory=list)
-    deps2: List[int] = field(default_factory=list)
-    addrs: List[int] = field(default_factory=list)
-    takens: List[bool] = field(default_factory=list)
-    phase_starts: List[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def instructions(self) -> List[Instr]:
-        """Materialise this chunk's rows as :class:`Instr` objects."""
-        return [
-            Instr(op=o, pc=p, dep1=d1, dep2=d2, addr=a, taken=t)
-            for o, p, d1, d2, a, t in zip(
-                self.ops, self.pcs, self.deps1, self.deps2,
-                self.addrs, self.takens,
-            )
-        ]
 
 
 class _PhaseRuntime:
@@ -310,16 +276,8 @@ def generate_trace(
     name:
         Trace name; defaults to the mixture name.
     """
-    instructions: List[Instr] = []
-    phase_starts: List[int] = []
-    for chunk in generate_chunks(mix, length, seed, chunk_size=length):
-        instructions.extend(chunk.instructions())
-        phase_starts.extend(chunk.phase_starts)
-    return Trace(
-        name=name or mix.name,
-        instructions=instructions,
-        seed=seed,
-        phase_starts=phase_starts,
+    return Trace.from_chunks(
+        name or mix.name, seed, generate_chunks(mix, length, seed)
     )
 
 

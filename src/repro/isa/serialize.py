@@ -8,34 +8,30 @@ followed by six little-endian arrays (op, pc, dep1, dep2, addr, taken).
 """
 
 import json
+import sys
 from array import array
 from pathlib import Path
 from typing import Union
 
-from repro.isa.instructions import Instr
-from repro.isa.trace import Trace
+from repro.isa.trace import COLUMN_TYPECODES, Trace, TraceChunk, column_bytes
 
 #: bump when the on-disk layout changes
 FORMAT_VERSION = 1
 
 _MAGIC = b"RTRC"
 
+#: payload bytes per instruction: one item of each column
+_RECORD_BYTES = sum(array(code).itemsize for code in COLUMN_TYPECODES)
+
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write ``trace`` to ``path`` (overwrites)."""
-    n = len(trace)
-    ops = array("B", (i.op for i in trace))
-    pcs = array("q", (i.pc for i in trace))
-    dep1 = array("q", (i.dep1 for i in trace))
-    dep2 = array("q", (i.dep2 for i in trace))
-    addr = array("q", (i.addr for i in trace))
-    taken = array("B", (1 if i.taken else 0 for i in trace))
     header = json.dumps(
         {
             "version": FORMAT_VERSION,
             "name": trace.name,
             "seed": trace.seed,
-            "length": n,
+            "length": len(trace),
             "phase_starts": trace.phase_starts,
         }
     ).encode()
@@ -43,15 +39,21 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
         fh.write(_MAGIC)
         fh.write(len(header).to_bytes(4, "little"))
         fh.write(header)
-        for arr in (ops, pcs, dep1, dep2, addr, taken):
-            if arr.itemsize > 1 and __import__("sys").byteorder == "big":
-                arr = array(arr.typecode, arr)
-                arr.byteswap()
-            fh.write(arr.tobytes())
+        for data in column_bytes(
+            trace.ops, trace.pcs, trace.deps1, trace.deps2, trace.addrs,
+            trace.takens,
+        ):
+            fh.write(data)
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace previously written by :func:`save_trace`."""
+    """Read a trace previously written by :func:`save_trace`.
+
+    Raises :class:`ValueError` unless the payload after the header is
+    exactly one item of each column per instruction the header declares,
+    so a truncated, padded or mis-headed file never loads as a trace with
+    misaligned columns.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -63,33 +65,27 @@ def load_trace(path: Union[str, Path]) -> Trace:
                 f"{path}: unsupported trace format version "
                 f"{header.get('version')!r}"
             )
-        n = header["length"]
-        ops = array("B")
-        ops.frombytes(fh.read(n))
-        arrays = []
-        for _ in range(4):
-            arr = array("q")
-            arr.frombytes(fh.read(n * arr.itemsize))
-            if __import__("sys").byteorder == "big":
-                arr.byteswap()
-            arrays.append(arr)
-        taken = array("B")
-        taken.frombytes(fh.read(n))
-    pcs, dep1, dep2, addr = arrays
-    instructions = [
-        Instr(
-            op=ops[i],
-            pc=pcs[i],
-            dep1=dep1[i],
-            dep2=dep2[i],
-            addr=addr[i],
-            taken=bool(taken[i]),
+        payload = fh.read()
+    n = header["length"]
+    if len(payload) != n * _RECORD_BYTES:
+        raise ValueError(
+            f"{path}: payload is {len(payload)} bytes, but a "
+            f"{n}-instruction trace needs {n * _RECORD_BYTES}"
         )
-        for i in range(n)
-    ]
-    return Trace(
-        name=header["name"],
-        instructions=instructions,
-        seed=header["seed"],
+    columns = []
+    offset = 0
+    for typecode in COLUMN_TYPECODES:
+        arr = array(typecode)
+        end = offset + n * arr.itemsize
+        arr.frombytes(payload[offset:end])
+        if arr.itemsize > 1 and sys.byteorder == "big":
+            arr.byteswap()
+        columns.append(arr.tolist())
+        offset = end
+    ops, pcs, deps1, deps2, addrs, takens = columns
+    chunk = TraceChunk(
+        start=0, ops=ops, pcs=pcs, deps1=deps1, deps2=deps2, addrs=addrs,
+        takens=[bool(t) for t in takens],
         phase_starts=header["phase_starts"],
     )
+    return Trace.from_chunks(header["name"], header["seed"], (chunk,))

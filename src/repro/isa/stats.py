@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.isa.instructions import OpClass
+from repro.isa.instructions import MEMORY_OPS, OpClass
 from repro.isa.trace import Trace
 
 
@@ -94,12 +94,14 @@ def characterize(trace: Trace) -> TraceCharacter:
     mem_ops = 0
     prev_addr = None
 
-    for seq, instr in enumerate(trace):
-        op = instr.op
+    for seq, (op, pc, dep1, dep2, addr, is_taken) in enumerate(zip(
+        trace.ops, trace.pcs, trace.deps1, trace.deps2, trace.addrs,
+        trace.takens,
+    )):
         mix_counts[OpClass(op).name] += 1
 
         d = 0
-        for dep in (instr.dep1, instr.dep2):
+        for dep in (dep1, dep2):
             if dep >= 0:
                 if depth[dep] > d:
                     d = depth[dep]
@@ -111,13 +113,13 @@ def characterize(trace: Trace) -> TraceCharacter:
 
         if op == OpClass.BRANCH:
             branches += 1
-            pair = outcomes[instr.pc]
-            pair[int(instr.taken)] += 1
-            if instr.taken:
+            pair = outcomes[pc]
+            pair[int(is_taken)] += 1
+            if is_taken:
                 taken += 1
-        elif instr.is_mem:
+        elif op in MEMORY_OPS:
             mem_ops += 1
-            block = instr.addr >> 6
+            block = addr >> 6
             blocks_seen.add(block)
             if block in recent_set:
                 reuse_hits += 1
@@ -129,9 +131,9 @@ def characterize(trace: Trace) -> TraceCharacter:
                     del recent_set[old]
                 else:
                     recent_set[old] -= 1
-            if prev_addr is not None and abs(instr.addr - prev_addr) <= 64:
+            if prev_addr is not None and abs(addr - prev_addr) <= 64:
                 spatial_hits += 1
-            prev_addr = instr.addr
+            prev_addr = addr
 
     if branches:
         entropy = sum(
@@ -142,7 +144,7 @@ def characterize(trace: Trace) -> TraceCharacter:
         entropy = 0.0
 
     has_dep = sum(
-        1 for i in trace.instructions if i.dep1 >= 0 or i.dep2 >= 0
+        1 for d1, d2 in zip(trace.deps1, trace.deps2) if d1 >= 0 or d2 >= 0
     )
 
     starts = trace.phase_starts
@@ -179,7 +181,11 @@ def working_set_curve(
     observation window, the quantity cache capacities are sized against.
     """
     curve: Dict[int, float] = {}
-    mem = [i.addr >> 6 for i in trace.instructions if i.is_mem]
+    mem = [
+        addr >> 6
+        for op, addr in zip(trace.ops, trace.addrs)
+        if op in MEMORY_OPS
+    ]
     if not mem:
         return {w: 0.0 for w in window_sizes}
     for window in window_sizes:

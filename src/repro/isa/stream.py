@@ -7,7 +7,7 @@ the same structural surface the simulators consume from a concrete
 :class:`~repro.isa.trace.Trace` — ``len()``, ``decoded()`` columns,
 ``fingerprint()`` — while keeping only a bounded window of recent chunks
 resident.  A million-instruction run therefore holds a few chunks of
-columns at a time instead of a million ``Instr`` objects (the RSS bound is
+columns at a time instead of the whole trace's columns (the RSS bound is
 pinned by ``tests/corpus/test_memory.py``).
 
 Access pattern contract
@@ -26,12 +26,14 @@ fingerprint (``tests/corpus/test_grammar.py``), so it deliberately stays
 out of every cache identity.
 """
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Generic, Iterator, List, Optional, TypeVar
 
-from repro.isa.generator import DEFAULT_CHUNK_SIZE, TraceChunk, generate_chunks
+from repro.isa.generator import DEFAULT_CHUNK_SIZE, generate_chunks
 from repro.isa.instructions import Instr
 from repro.isa.phases import PhaseMix
-from repro.isa.trace import Trace, TraceHasher
+from repro.isa.trace import Trace, TraceChunk, TraceHasher
+
+T = TypeVar("T")
 
 #: Resident chunks retained behind the newest one.  With the default chunk
 #: size this keeps ~32k instructions addressable backwards — comfortably
@@ -54,31 +56,32 @@ class _ChunkWindow:
         self._trace = trace
         self.chunk_size = trace.chunk_size
         self._keep = max(1, keep)
-        self._chunks: Dict[int, TraceChunk] = {}
+        #: chunk index -> resident chunk
+        self.resident: Dict[int, TraceChunk] = {}
         self._iter: Optional[Iterator[TraceChunk]] = None
         self._produced = 0  # chunks consumed from the current pass
 
     def chunk(self, index: int) -> TraceChunk:
         """The chunk containing absolute instruction ``index``."""
         ci = index // self.chunk_size
-        got = self._chunks.get(ci)
+        got = self.resident.get(ci)
         if got is not None:
             return got
         if self._iter is None or ci < self._produced:
             self._iter = self._trace.chunks()
             self._produced = 0
-            self._chunks.clear()
+            self.resident.clear()
         while True:
             chunk = next(self._iter)
-            self._chunks[self._produced] = chunk
-            self._chunks.pop(self._produced - self._keep, None)
+            self.resident[self._produced] = chunk
+            self.resident.pop(self._produced - self._keep, None)
             self._produced += 1
             if self._produced > ci:
                 return chunk
 
 
-class _IntColumn:
-    """One windowed integer column of a streaming trace (a
+class _Column(Generic[T]):
+    """One windowed column of a streaming trace (a
     :class:`repro.isa.trace.Column`)."""
 
     __slots__ = ("_window", "_field", "_length")
@@ -91,47 +94,26 @@ class _IntColumn:
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, index: int) -> int:
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError(index)
-        chunk = self._window.chunk(index)
-        value: int = getattr(chunk, self._field)[index - chunk.start]
+    def __getitem__(self, index: int) -> T:
+        window = self._window
+        # the hot loop reads inside resident chunks: serve those without
+        # the bounds checks and the window call (an index past the end of
+        # the final chunk still raises IndexError from the list)
+        chunk = window.resident.get(index // window.chunk_size)
+        if chunk is None:
+            if index < 0:
+                index += self._length
+            if not 0 <= index < self._length:
+                raise IndexError(index)
+            chunk = window.chunk(index)
+        value: T = getattr(chunk, self._field)[index - chunk.start]
         return value
 
-    def __iter__(self) -> Iterator[int]:
+    def __iter__(self) -> Iterator[T]:
         size = self._window.chunk_size
         for start in range(0, self._length, size):
-            column: List[int] = getattr(self._window.chunk(start), self._field)
+            column: List[T] = getattr(self._window.chunk(start), self._field)
             yield from column
-
-
-class _BoolColumn:
-    """The windowed branch-outcome column of a streaming trace."""
-
-    __slots__ = ("_window", "_length")
-
-    def __init__(self, window: _ChunkWindow, length: int) -> None:
-        self._window = window
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index: int) -> bool:
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError(index)
-        chunk = self._window.chunk(index)
-        value: bool = chunk.takens[index - chunk.start]
-        return value
-
-    def __iter__(self) -> Iterator[bool]:
-        size = self._window.chunk_size
-        for start in range(0, self._length, size):
-            yield from self._window.chunk(start).takens
 
 
 class StreamingDecoded:
@@ -148,12 +130,12 @@ class StreamingDecoded:
     def __init__(self, trace: "StreamingTrace") -> None:
         window = _ChunkWindow(trace)
         n = len(trace)
-        self.ops = _IntColumn(window, "ops", n)
-        self.pcs = _IntColumn(window, "pcs", n)
-        self.deps1 = _IntColumn(window, "deps1", n)
-        self.deps2 = _IntColumn(window, "deps2", n)
-        self.addrs = _IntColumn(window, "addrs", n)
-        self.takens = _BoolColumn(window, n)
+        self.ops: _Column[int] = _Column(window, "ops", n)
+        self.pcs: _Column[int] = _Column(window, "pcs", n)
+        self.deps1: _Column[int] = _Column(window, "deps1", n)
+        self.deps2: _Column[int] = _Column(window, "deps2", n)
+        self.addrs: _Column[int] = _Column(window, "addrs", n)
+        self.takens: _Column[bool] = _Column(window, "takens", n)
 
 
 class StreamingTrace:
@@ -250,17 +232,7 @@ class StreamingTrace:
         trace, so :class:`repro.core.system.ContestingSystem` materialises
         streaming traces up front rather than thrash the window.
         """
-        instructions: List[Instr] = []
-        starts: List[int] = []
-        for chunk in self.chunks():
-            instructions.extend(chunk.instructions())
-            starts.extend(chunk.phase_starts)
-        return Trace(
-            name=self.name,
-            instructions=instructions,
-            seed=self.seed,
-            phase_starts=starts,
-        )
+        return Trace.from_chunks(self.name, self.seed, self.chunks())
 
     def __repr__(self) -> str:
         return (

@@ -1,18 +1,26 @@
-"""Trace container with region iteration and summary statistics.
+"""Trace containers: six instruction columns plus provenance metadata.
+
+A trace is column-major: six parallel columns indexed by dynamic sequence
+number (op class, static PC, two producer links, memory address, branch
+outcome), exactly the fields the timing models read.  Generation emits
+:class:`TraceChunk` regions of those columns, and :meth:`Trace.from_chunks`
+is the one place regions are assembled into a resident trace.
 
 Two trace shapes satisfy the :class:`TraceSource` protocol the simulators
-consume: the concrete :class:`Trace` here (every instruction materialised)
-and :class:`repro.isa.stream.StreamingTrace` (regions generated on demand,
+consume: the concrete :class:`Trace` here (every column resident) and
+:class:`repro.isa.stream.StreamingTrace` (regions generated on demand,
 never all resident).  Both fingerprint through the shared
 :class:`TraceHasher`, so the streaming and materialised hash of one recipe
-are identical by construction.
+are identical by construction.  :class:`~repro.isa.instructions.Instr`
+rows are only ever views built on demand (``trace[i]``, iteration) or the
+input of a hand-built trace.
 """
 
 import hashlib
 import sys
 from array import array
+from dataclasses import dataclass, field
 from typing import (
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -22,7 +30,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.isa.instructions import Instr, OpClass
+from repro.isa.instructions import Instr
 
 T_co = TypeVar("T_co", covariant=True)
 
@@ -42,8 +50,9 @@ class DecodedColumns(Protocol):
     """Column-major instruction fields, as the simulator hot loops read
     them: six parallel columns indexed by dynamic sequence number.
 
-    Satisfied by :class:`DecodedTrace` (plain lists) and by the windowed
-    streaming columns of :class:`repro.isa.stream.StreamingDecoded`.
+    Satisfied by :class:`Trace` and :class:`TraceChunk` (plain lists) and
+    by the windowed streaming columns of
+    :class:`repro.isa.stream.StreamingDecoded`.
     """
 
     @property
@@ -68,7 +77,7 @@ class DecodedColumns(Protocol):
 class TraceSource(Protocol):
     """What a standalone simulation needs from a trace, structurally.
 
-    :class:`Trace` satisfies it with cached concrete columns;
+    :class:`Trace` satisfies it with its own resident columns;
     :class:`repro.isa.stream.StreamingTrace` satisfies it with windowed
     columns over chunked generation.  Code that needs the full trace
     resident (contests, serialisation) takes :class:`Trace` explicitly.
@@ -93,6 +102,56 @@ class TraceSource(Protocol):
         ...
 
 
+@dataclass
+class TraceChunk:
+    """One contiguous, column-major region of a trace.
+
+    ``start`` is the absolute index of the first instruction;
+    ``phase_starts`` holds the *absolute* indices (within this chunk) at
+    which a new fine-grain phase begins.  Columns mirror :class:`Trace`
+    field for field.
+    """
+
+    start: int
+    ops: List[int] = field(default_factory=list)
+    pcs: List[int] = field(default_factory=list)
+    deps1: List[int] = field(default_factory=list)
+    deps2: List[int] = field(default_factory=list)
+    addrs: List[int] = field(default_factory=list)
+    takens: List[bool] = field(default_factory=list)
+    phase_starts: List[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+
+#: ``array`` typecode of each column, in column order (ops, pcs, deps1,
+#: deps2, addrs, takens): the byte layout the fingerprint hashes and the
+#: ``.rtrc`` file format stores
+COLUMN_TYPECODES = ("B", "q", "q", "q", "q", "B")
+
+
+def column_bytes(
+    ops: Iterable[int],
+    pcs: Iterable[int],
+    deps1: Iterable[int],
+    deps2: Iterable[int],
+    addrs: Iterable[int],
+    takens: Iterable[bool],
+) -> List[bytes]:
+    """The six columns as little-endian bytes, takens as 0/1 bytes."""
+    values = (
+        ops, pcs, deps1, deps2, addrs, (1 if t else 0 for t in takens),
+    )
+    out = []
+    for typecode, column in zip(COLUMN_TYPECODES, values):
+        arr = array(typecode, column)
+        if arr.itemsize > 1 and sys.byteorder == "big":
+            arr.byteswap()
+        out.append(arr.tobytes())
+    return out
+
+
 class TraceHasher:
     """Chunk-incremental trace fingerprint (recipe ``repro-trace/2``).
 
@@ -109,15 +168,8 @@ class TraceHasher:
     """
 
     def __init__(self) -> None:
-        self._subs = [hashlib.sha256() for _ in range(6)]
+        self._subs = [hashlib.sha256() for _ in COLUMN_TYPECODES]
         self._length = 0
-
-    @staticmethod
-    def _bytes(typecode: str, values: Iterable[int]) -> bytes:
-        arr = array(typecode, values)
-        if arr.itemsize > 1 and sys.byteorder == "big":
-            arr.byteswap()
-        return arr.tobytes()
 
     def update(
         self,
@@ -129,14 +181,9 @@ class TraceHasher:
         takens: Sequence[bool],
     ) -> None:
         """Fold one region's columns into the running digest."""
-        self._subs[0].update(self._bytes("B", ops))
-        self._subs[1].update(self._bytes("q", pcs))
-        self._subs[2].update(self._bytes("q", deps1))
-        self._subs[3].update(self._bytes("q", deps2))
-        self._subs[4].update(self._bytes("q", addrs))
-        self._subs[5].update(
-            self._bytes("B", (1 if t else 0 for t in takens))
-        )
+        data = column_bytes(ops, pcs, deps1, deps2, addrs, takens)
+        for sub, field_bytes in zip(self._subs, data):
+            sub.update(field_bytes)
         self._length += len(ops)
 
     def digest(
@@ -151,34 +198,19 @@ class TraceHasher:
         return h.hexdigest()
 
 
-class DecodedTrace:
-    """Column-major view of a trace for the simulator hot loop.
-
-    The cycle-stepped core touches one or two instruction fields per stage;
-    reading them through :class:`Instr` objects costs an attribute lookup
-    (descriptor dispatch through ``__slots__``) per field per access.  This
-    view decodes every timing-relevant field once into parallel plain lists,
-    so the hot loop pays a single list index instead.  Built lazily by
-    :meth:`Trace.decoded` and cached on the trace (traces are immutable by
-    convention), so N cores contesting one trace share one decode.
-    """
-
-    __slots__ = ("ops", "pcs", "deps1", "deps2", "addrs", "takens")
-
-    def __init__(self, instructions: Sequence[Instr]) -> None:
-        self.ops: List[int] = [i.op for i in instructions]
-        self.pcs: List[int] = [i.pc for i in instructions]
-        self.deps1: List[int] = [i.dep1 for i in instructions]
-        self.deps2: List[int] = [i.dep2 for i in instructions]
-        self.addrs: List[int] = [i.addr for i in instructions]
-        self.takens: List[bool] = [i.taken for i in instructions]
-
-
 class Trace:
-    """An ordered sequence of dynamic instructions plus provenance metadata.
+    """A resident trace: six parallel instruction columns plus provenance.
 
-    Traces are immutable by convention once generated; the simulators never
-    mutate instructions.
+    The columns are plain lists because the cycle-stepped core touches one
+    or two fields per stage, and a list index is far cheaper than an
+    attribute read through an :class:`Instr`.  :meth:`decoded` is the trace
+    itself, so N cores contesting one trace share one set of columns.
+    ``trace[i]`` and iteration build :class:`Instr` row views on demand.
+    Traces are immutable by convention; the simulators never mutate them.
+
+    ``Trace(name, instructions, seed, phase_starts)`` builds a trace from
+    hand-written rows, decoding them once; generated, streamed and loaded
+    traces are assembled by :meth:`from_chunks`.
     """
 
     def __init__(
@@ -188,77 +220,70 @@ class Trace:
         seed: int = 0,
         phase_starts: Sequence[int] = (),
     ) -> None:
-        if not instructions:
-            raise ValueError("a trace must contain at least one instruction")
+        rows = TraceChunk(
+            start=0,
+            ops=[i.op for i in instructions],
+            pcs=[i.pc for i in instructions],
+            deps1=[i.dep1 for i in instructions],
+            deps2=[i.dep2 for i in instructions],
+            addrs=[i.addr for i in instructions],
+            takens=[i.taken for i in instructions],
+            phase_starts=list(phase_starts),
+        )
+        self._assemble(name, seed, (rows,))
+
+    @classmethod
+    def from_chunks(
+        cls, name: str, seed: int, chunks: Iterable[TraceChunk]
+    ) -> "Trace":
+        """Concatenate consecutive column regions into one trace."""
+        trace = cls.__new__(cls)
+        trace._assemble(name, seed, chunks)
+        return trace
+
+    def _assemble(
+        self, name: str, seed: int, chunks: Iterable[TraceChunk]
+    ) -> None:
         self.name = name
-        self.instructions: List[Instr] = list(instructions)
         self.seed = seed
+        self.ops: List[int] = []
+        self.pcs: List[int] = []
+        self.deps1: List[int] = []
+        self.deps2: List[int] = []
+        self.addrs: List[int] = []
+        self.takens: List[bool] = []
         #: indices at which a new fine-grain phase begins (diagnostics only)
-        self.phase_starts: List[int] = list(phase_starts)
+        self.phase_starts: List[int] = []
+        for chunk in chunks:
+            self.ops.extend(chunk.ops)
+            self.pcs.extend(chunk.pcs)
+            self.deps1.extend(chunk.deps1)
+            self.deps2.extend(chunk.deps2)
+            self.addrs.extend(chunk.addrs)
+            self.takens.extend(chunk.takens)
+            self.phase_starts.extend(chunk.phase_starts)
+        if not self.ops:
+            raise ValueError("a trace must contain at least one instruction")
         self._fingerprint: Optional[str] = None
-        self._decoded: Optional[DecodedTrace] = None
 
     def __len__(self) -> int:
-        return len(self.instructions)
+        return len(self.ops)
 
     def __getitem__(self, index: int) -> Instr:
-        return self.instructions[index]
+        return Instr(
+            self.ops[index], self.pcs[index], self.deps1[index],
+            self.deps2[index], self.addrs[index], self.takens[index],
+        )
 
     def __iter__(self) -> Iterator[Instr]:
-        return iter(self.instructions)
+        return map(
+            Instr, self.ops, self.pcs, self.deps1, self.deps2,
+            self.addrs, self.takens,
+        )
 
-    def regions(self, size: int) -> Iterator[List[Instr]]:
-        """Yield consecutive regions of ``size`` instructions.
-
-        The final region may be shorter.  Region granularity is the unit of
-        the paper's Section-2 oracle-switching analysis (20 instructions and
-        doublings thereof).
-        """
-        if size <= 0:
-            raise ValueError("region size must be positive")
-        for start in range(0, len(self.instructions), size):
-            yield self.instructions[start : start + size]
-
-    def op_histogram(self) -> Dict[OpClass, int]:
-        """Count of dynamic instructions per op class."""
-        counts: Dict[OpClass, int] = {op: 0 for op in OpClass}
-        for instr in self.instructions:
-            counts[OpClass(instr.op)] += 1
-        return counts
-
-    def memory_footprint(self, block: int = 64) -> int:
-        """Number of distinct ``block``-byte blocks touched by memory ops."""
-        if block <= 0:
-            raise ValueError("block size must be positive")
-        blocks = {
-            instr.addr // block
-            for instr in self.instructions
-            if instr.is_mem
-        }
-        return len(blocks)
-
-    def branch_count(self) -> int:
-        """Number of dynamic conditional branches."""
-        return sum(1 for i in self.instructions if i.op == OpClass.BRANCH)
-
-    def decoded(self) -> DecodedTrace:
-        """The cached column-major :class:`DecodedTrace` of this trace."""
-        if self._decoded is None:
-            self._decoded = DecodedTrace(self.instructions)
-        return self._decoded
-
-    def __getstate__(self) -> Dict[str, object]:
-        # The decoded view is a pure cache and several times the size of
-        # the instructions themselves; drop it so pickled traces (parallel
-        # executor job payloads, cached results) stay lean.  Receivers
-        # rebuild it lazily on first decoded() call.
-        state = self.__dict__.copy()
-        state["_decoded"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._decoded = None
+    def decoded(self) -> "Trace":
+        """The column-major view the simulators read: the trace itself."""
+        return self
 
     def fingerprint(self) -> str:
         """Stable content hash of the trace (hex digest).
@@ -273,11 +298,10 @@ class Trace:
         to the same digest without materialising.
         """
         if self._fingerprint is None:
-            decoded = self.decoded()
             hasher = TraceHasher()
             hasher.update(
-                decoded.ops, decoded.pcs, decoded.deps1, decoded.deps2,
-                decoded.addrs, decoded.takens,
+                self.ops, self.pcs, self.deps1, self.deps2, self.addrs,
+                self.takens,
             )
             self._fingerprint = hasher.digest(
                 self.name, self.seed, self.phase_starts

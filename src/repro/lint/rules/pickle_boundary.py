@@ -68,20 +68,19 @@ def _member_names(cls: ast.ClassDef) -> Set[str]:
 
 @register
 class PickleBoundary(Rule):
-    """Guard the ``Trace.decoded`` lean-pickle pattern."""
+    """Guard the lean-pickle pattern: drop a cache, rebuild it lazily."""
 
     name = "pickle-boundary"
     summary = "__getstate__-dropped attrs need a lazy rebuild member"
     rationale = (
         "Objects cross the process-pool boundary by pickle; __getstate__ "
-        "legitimately drops derived caches to keep payloads lean (the "
-        "Trace._decoded column-major view). But a dropped attr with no "
-        "rebuild path resurfaces as None/AttributeError only *inside a "
-        "worker process*, where the traceback is captured, retried three "
-        "times and finally reported as a JobFailure — the hardest-to-debug "
-        "failure mode in the engine. Dropping '_x' therefore requires a "
-        "lazy accessor 'x' (or explicit __setstate__ handling) on the "
-        "same class."
+        "legitimately drops derived caches to keep payloads lean. But a "
+        "dropped attr with no rebuild path resurfaces as None/AttributeError "
+        "only *inside a worker process*, where the traceback is captured, "
+        "retried three times and finally reported as a JobFailure — the "
+        "hardest-to-debug failure mode in the engine. Dropping '_x' "
+        "therefore requires a lazy accessor 'x' (or explicit __setstate__ "
+        "handling) on the same class."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:

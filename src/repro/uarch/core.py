@@ -178,9 +178,9 @@ class Core:
         )
         self.predictor = make_predictor(config.predictor, config.predictor_entries)
 
-        # Column-major decode, shared across all cores running this trace:
-        # the hot loop indexes plain lists (or windowed streaming columns)
-        # instead of Instr attributes.
+        # The trace's columns, shared across all cores running it: the hot
+        # loop indexes plain lists (or windowed streaming columns) instead
+        # of Instr attributes.
         decoded = trace.decoded()
         self._ops = decoded.ops
         self._pcs = decoded.pcs

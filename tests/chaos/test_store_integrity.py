@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.engine import store_cli
 from repro.engine.store import (
     STATUS_CORRUPT,
     STATUS_CRC,
-    STATUS_LEGACY,
     STATUS_OK,
     STATUS_TORN,
     STORE_FORMAT,
@@ -76,7 +76,7 @@ class TestFraming:
         raw = json.dumps(
             {"key": "k", "kind": "standalone", "value": VALUE}
         ).encode()
-        assert classify_line(raw)[0] == STATUS_LEGACY
+        assert classify_line(raw)[0] == STATUS_CORRUPT
 
     def test_bad_shapes_are_corrupt(self):
         for raw in (
@@ -144,6 +144,19 @@ class TestBitflip:
         assert counters["crc_failures"] + counters["torn_tails"] >= 1
         assert reloaded.get(job.cache_key(), "standalone") is None
 
+    def test_unframing_double_flip_is_rejected_not_served(self, tmp_path):
+        # one bit flip renames the "crc" key, a second alters a result
+        # value: the line still parses with a valid shape but no frame
+        path = tmp_path / "store.jsonl"
+        store, job, result = put_one(path)
+        raw = path.read_bytes().replace(b'"crc":', b'"brc":', 1)
+        last = re.search(rb'"cycles":\d+', raw).end() - 1
+        raw = raw[:last] + bytes([raw[last] ^ 0x01]) + raw[last + 1:]
+        path.write_bytes(raw)
+        reloaded = ResultStore(path)
+        assert reloaded.counters()["corrupt_lines"] == 1
+        assert reloaded.get(job.cache_key(), "standalone") is None
+
 
 class TestFsckCli:
     def test_clean_store_exits_zero(self, tmp_path, capsys):
@@ -165,17 +178,19 @@ class TestFsckCli:
         assert statuses == [STATUS_OK]
         assert ResultStore(path).get(job.cache_key(), "standalone") is not None
 
-    def test_repair_reframes_legacy_records(self, tmp_path):
+    def test_repair_drops_unframed_records(self, tmp_path):
         path = tmp_path / "store.jsonl"
-        legacy = json.dumps(
+        _, job, _ = put_one(path)
+        unframed = json.dumps(
             {"key": "k", "kind": "standalone", "value": VALUE}
         ).encode() + b"\n"
-        path.write_bytes(legacy)
-        assert ResultStore(path).legacy_lines == 1
+        with open(path, "ab") as fh:
+            fh.write(unframed)
+        assert store_cli.main(["--path", str(path), "fsck"]) == 1
         assert store_cli.main(["--path", str(path), "fsck", "--repair"]) == 0
         (record,) = scan_store(path)
         assert record.status == STATUS_OK
-        assert record.value == VALUE
+        assert record.key == job.cache_key()
 
     def test_compact_dedupes_and_frames(self, tmp_path, capsys):
         path = tmp_path / "store.jsonl"

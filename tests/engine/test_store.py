@@ -146,7 +146,7 @@ class TestStreamingLoad:
         assert raw["v"] == STORE_FORMAT
         assert isinstance(raw["crc"], int)
 
-    def test_legacy_unframed_lines_still_load(self, tmp_path):
+    def test_unframed_lines_count_as_corrupt(self, tmp_path):
         alone, _, _ = _results()
         store = ResultStore(tmp_path)
         line = json.dumps(
@@ -156,6 +156,5 @@ class TestStreamingLoad:
         store.path.parent.mkdir(parents=True, exist_ok=True)
         store.path.write_text(line + "\n")
         fresh = ResultStore(tmp_path)
-        assert fresh.legacy_lines == 1
-        assert fresh.corrupt_lines == 0
-        assert fresh.get("old", "standalone") == alone
+        assert fresh.corrupt_lines == 1
+        assert fresh.get("old", "standalone") is None

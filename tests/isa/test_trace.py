@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 
 from repro.isa.instructions import Instr, OpClass
+from repro.isa.stats import characterize
 from repro.isa.trace import Trace
 
 
@@ -31,41 +34,13 @@ class TestTrace:
         t = _make_trace(30)
         assert sum(1 for _ in t) == 30
 
-    def test_regions_exact(self):
-        t = _make_trace(100)
-        regions = list(t.regions(20))
-        assert len(regions) == 5
-        assert all(len(r) == 20 for r in regions)
-
-    def test_regions_partial_tail(self):
-        t = _make_trace(105)
-        regions = list(t.regions(20))
-        assert len(regions) == 6
-        assert len(regions[-1]) == 5
-
-    def test_regions_invalid(self):
-        with pytest.raises(ValueError):
-            list(_make_trace().regions(0))
-
     def test_op_histogram(self):
-        t = _make_trace(100)
-        hist = t.op_histogram()
-        assert sum(hist.values()) == 100
-        assert hist[OpClass.LOAD] == 10
-        assert hist[OpClass.BRANCH] == 10
-
-    def test_branch_count(self):
-        assert _make_trace(100).branch_count() == 10
+        mix = characterize(_make_trace(100)).mix
+        assert mix == {"LOAD": 0.1, "BRANCH": 0.1, "IALU": 0.8}
 
     def test_memory_footprint(self):
-        t = _make_trace(100)
         # loads at addresses 0, 640, 1280 ... 64*90 -> 10 distinct 64B blocks
-        assert t.memory_footprint(block=64) == 10
-        assert t.memory_footprint(block=1024) <= 10
-
-    def test_memory_footprint_invalid_block(self):
-        with pytest.raises(ValueError):
-            _make_trace().memory_footprint(block=0)
+        assert characterize(_make_trace(100)).footprint_blocks == 10
 
     def test_repr(self):
         assert "len=100" in repr(_make_trace(100))
@@ -101,16 +76,14 @@ class TestFingerprint:
 
     def test_seed_and_name_distinguish(self):
         base = self._hand_trace()
-        renamed = Trace("other", base.instructions, seed=7,
-                        phase_starts=[0, 2])
-        reseeded = Trace("hand", base.instructions, seed=8,
-                         phase_starts=[0, 2])
+        renamed = Trace("other", list(base), seed=7, phase_starts=[0, 2])
+        reseeded = Trace("hand", list(base), seed=8, phase_starts=[0, 2])
         assert base.fingerprint() != renamed.fingerprint()
         assert base.fingerprint() != reseeded.fingerprint()
 
     def test_content_distinguishes(self):
         base = self._hand_trace()
-        mutated = list(base.instructions)
+        mutated = list(base)
         mutated[1] = Instr(int(OpClass.LOAD), pc=0x14, dep1=0, addr=0x1008)
         other = Trace("hand", mutated, seed=7, phase_starts=[0, 2])
         assert base.fingerprint() != other.fingerprint()
@@ -124,3 +97,36 @@ class TestFingerprint:
         c = generate_trace(workload_profile("gcc"), 1500, seed=4)
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+
+def test_no_path_builds_instr_rows(monkeypatch, tmp_path):
+    # A trace is its six columns: generating, hashing, pickling, saving,
+    # loading, streaming and simulating it must never build Instr rows.
+    from repro.core.system import ContestingSystem
+    from repro.isa.generator import generate_trace
+    from repro.isa.serialize import load_trace, save_trace
+    from repro.isa.stream import StreamingTrace
+    from repro.isa.workloads import workload_profile
+    from repro.uarch.config import core_config
+    from repro.uarch.run import run_standalone
+
+    def no_rows(self, *args, **kwargs):
+        raise AssertionError("an Instr row was built")
+
+    monkeypatch.setattr(Instr, "__init__", no_rows)
+    mix = workload_profile("gcc")
+    trace = generate_trace(mix, 1500, seed=3)
+    copy = pickle.loads(pickle.dumps(trace))
+    digest = trace.fingerprint()
+    assert copy.fingerprint() == digest
+    save_trace(trace, tmp_path / "t.rtrc")
+    assert load_trace(tmp_path / "t.rtrc").fingerprint() == digest
+    streamed = StreamingTrace(mix, 1500, seed=3, chunk_size=256)
+    assert streamed.materialise().fingerprint() == digest
+    characterize(trace)
+    gcc, vpr = core_config("gcc"), core_config("vpr")
+    assert (
+        run_standalone(gcc, streamed).time_ps
+        == run_standalone(gcc, trace).time_ps
+    )
+    assert ContestingSystem([gcc, vpr], trace).run().instructions == 1500

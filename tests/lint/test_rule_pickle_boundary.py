@@ -80,14 +80,3 @@ def test_trace_lean_pickle_pattern_is_clean():
 def test_getstate_without_drops_is_clean():
     assert findings(OK_NO_DROPS) == []
 
-
-def test_real_trace_class_is_clean():
-    # the pattern this rule guards, as actually shipped
-    import repro.isa.trace as trace_mod
-    import inspect
-
-    source = inspect.getsource(trace_mod)
-    assert [
-        d for d in lint_source(source, module="repro.isa.trace")
-        if d.rule == "pickle-boundary"
-    ] == []

@@ -198,7 +198,7 @@ class TestStructuralLimits:
 class TestSyscalls:
     def test_syscall_penalty(self):
         plain = _alu_trace(500)
-        instrs = list(plain.instructions)
+        instrs = list(plain)
         instrs[250] = Instr(OpClass.SYSCALL, pc=0x999)
         with_sys = Trace("sys", instrs)
         a = run_standalone(_simple_config(), plain)
