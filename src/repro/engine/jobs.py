@@ -24,7 +24,7 @@ under the old behaviour is invalidated at once.
 import hashlib
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.analysis.regions import BASE_REGION, RegionLog, region_log
 from repro.core.system import ContestingSystem, ContestResult
@@ -259,9 +259,3 @@ def execute_job(job: SimJob) -> Tuple[object, float]:
     started = time.perf_counter()
     result = job.run()
     return result, time.perf_counter() - started
-
-
-def execute_jobs(jobs: List[SimJob]) -> List[Tuple[object, float]]:
-    """Run a chunk of jobs in order (the batched form of
-    :func:`execute_job`, used by executors to amortise pickling)."""
-    return [execute_job(job) for job in jobs]

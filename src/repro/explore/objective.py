@@ -21,7 +21,6 @@ from repro.engine.jobs import (
     SimJob,
     StandaloneJob,
     TraceLike,
-    trace_fingerprint,
 )
 from repro.uarch.config import CoreConfig
 from repro.util.stats import harmonic_mean
@@ -170,18 +169,3 @@ def cached(objective: Objective) -> Objective:
         return memo[key]
 
     return score
-
-
-def objective_fingerprint(objective: Objective) -> str:
-    """A short identity string for an objective (diagnostics/logging)."""
-    if isinstance(objective, WorkloadObjective):
-        return f"workload/{trace_fingerprint(objective.trace)}"
-    if isinstance(objective, SuiteObjective):
-        parts = ",".join(trace_fingerprint(t) for t in objective.traces)
-        return f"suite/{parts}"
-    if isinstance(objective, ContestPairObjective):
-        return (
-            f"contest/{trace_fingerprint(objective.trace)}/"
-            f"{objective.partner.name}/{objective.grb_latency_ns}"
-        )
-    return getattr(objective, "__name__", type(objective).__name__)

@@ -6,39 +6,23 @@ golden fixtures are only sound while simulations stay pure functions of
 their job description.  The test suite catches violations *late* (a stale
 cache entry, a golden diff) or *never* (an unseeded RNG that happens to be
 stable on one machine).  This package catches the known failure classes
-*statically*, at lint time, before the code ever runs:
+*statically*, at lint time, before the code ever runs.
 
-* :mod:`~repro.lint.rules.wallclock` — ``no-wallclock``: model code must
-  not read host clocks; simulated time comes from the cycle/picosecond
-  clock.
-* :mod:`~repro.lint.rules.unseeded_random` — ``no-unseeded-random``:
-  :mod:`repro.util.rng` is the sole sanctioned randomness entry point.
-* :mod:`~repro.lint.rules.frozen_config` — ``frozen-config``: config and
-  job-spec dataclasses must be ``frozen=True``.
-* :mod:`~repro.lint.rules.cache_key` — ``cache-key-completeness``: every
-  field of a job spec must feed its cache key.
-* :mod:`~repro.lint.rules.pickle_boundary` — ``pickle-boundary``: attrs
-  dropped by ``__getstate__`` need a rebuild path.
-* :mod:`~repro.lint.rules.mutable_default` — ``no-mutable-default``.
-* :mod:`~repro.lint.rules.dict_order` — ``no-dict-order-dependence``:
-  sorted iteration over sets in timing-model code.
-* :mod:`~repro.lint.rules.untyped_stats` — ``no-untyped-stats``: model
-  code accumulates into typed stats (dataclass fields or the
-  :mod:`repro.telemetry` registry), never bare string dict keys.
+Most rules are per-file checks over one AST at a time: the determinism
+rules scan timing-model code (``repro.uarch``, ``repro.core``,
+``repro.isa``, ``repro.faults``, ``repro.util.units``), and
+``model-imports`` keeps everything model code can call inside that
+scope.  A whole-program pass (:mod:`~repro.lint.project`: symbol table +
+module graph, :mod:`~repro.lint.callgraph`, :mod:`~repro.lint.dataflow`)
+serves only the concurrency rules, which follow calls across files from
+the service's coroutines and the executors' worker entry points.
 
-On top of the per-file rules sits a whole-program pass
-(:mod:`~repro.lint.project`: symbol table + module graph,
-:mod:`~repro.lint.callgraph`, :mod:`~repro.lint.dataflow`) feeding the
-concurrency-safety pack — ``blocking-in-async``, ``lock-discipline``,
-``cross-thread-mutable-state``, ``await-discarded`` — and upgrading
-``no-wallclock`` / ``no-unseeded-random`` to transitive call-graph taint
-checks and ``cache-key-completeness`` to cross-module field tracking.
-
-Run it as ``python -m repro.lint [paths]`` (see :mod:`repro.lint.cli` for
-``--select/--ignore/--format=json/--list-rules``).  A finding can be
-suppressed in place with a ``# repro: allow-<rule>`` pragma on the
-offending line (or on a comment-only line directly above it); see
-``docs/static-analysis.md`` for the rule catalogue and rationale.
+Run it as ``python -m repro.lint [paths]``; ``python -m repro.lint
+--list-rules`` prints every rule with its rationale (see
+:mod:`repro.lint.cli`).  A finding can be suppressed in place with a
+``# repro: allow-<rule>`` pragma on the offending line (or on a
+comment-only line directly above it); see ``docs/static-analysis.md``
+for the rule catalogue.
 
 The analyzer is pure stdlib (:mod:`ast`) — no third-party dependency — so
 it runs anywhere the simulator runs and is itself covered by the tier-1
@@ -49,7 +33,6 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import RULES, FileContext, Rule, all_rules
 from repro.lint.runner import (
     LintReport,
-    lint_file,
     lint_modules,
     lint_paths,
     lint_paths_report,
@@ -63,7 +46,6 @@ __all__ = [
     "RULES",
     "Rule",
     "all_rules",
-    "lint_file",
     "lint_modules",
     "lint_paths",
     "lint_paths_report",

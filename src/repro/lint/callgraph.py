@@ -3,18 +3,17 @@
 Nodes are strings: project functions by qualname
 (``repro.engine.store.ResultStore.put``) and *external* callees by dotted
 path (``time.sleep``, ``os.write``, ``pathlib.Path.write_text``, the
-builtin ``open``).  Three edge kinds:
+builtin ``open``).  Two edge kinds:
 
 * ``call`` — an evidenced call expression; the edge the reachability
   queries follow;
-* ``init`` — a class instantiation (``C(...)`` resolving to a project
-  class) pointing at its ``__init__``; kept distinct because construction
-  overwhelmingly happens at startup, and rules like ``blocking-in-async``
-  deliberately do not follow it (see ``docs/static-analysis.md``);
 * ``ref`` — a function *referenced* without being called (passed to
   ``ThreadPoolExecutor.submit``, ``loop.run_in_executor``,
   ``threading.Thread(target=...)``); never followed as a call, but the
   cross-thread rule reads these to find worker entry points.
+
+Instantiating a project class (``C(...)``) makes no edge: construction
+overwhelmingly happens at startup, and no rule follows it.
 
 Resolution forms (anything else is absent, not guessed):
 
@@ -29,7 +28,7 @@ Resolution forms (anything else is absent, not guessed):
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.project import (
     ClassInfo,
@@ -87,7 +86,7 @@ class CallSite:
         self.callee = callee
         self.node = node
         self.path = path
-        #: ``call`` | ``init`` | ``ref``
+        #: ``call`` | ``ref``
         self.kind = kind
 
     @property
@@ -132,16 +131,14 @@ class CallGraph:
         self,
         sinks: Set[str],
         blocked: Optional[Set[str]] = None,
-        follow_init: bool = False,
     ) -> Dict[str, CallSite]:
         """Every node with a call path to a sink, with its witness edge.
 
         Returns ``node -> call site`` where the site is the first hop of a
         shortest path from ``node`` toward a sink (BFS from the sinks over
-        reverse ``call`` edges).  ``blocked`` nodes act as sanitizers:
+        reverse ``call`` edges).  ``blocked`` nodes stop propagation:
         paths may not pass *through* them (a sink that is itself blocked
-        is unreachable).  ``init`` edges are followed only on request;
-        ``ref`` edges never are.
+        is unreachable).  ``ref`` edges are never followed.
         """
         blocked = blocked or set()
         next_hop: Dict[str, CallSite] = {}
@@ -152,8 +149,6 @@ class CallGraph:
             for node in frontier:
                 for site in self.in_edges.get(node, ()):
                     if site.kind == "ref":
-                        continue
-                    if site.kind == "init" and not follow_init:
                         continue
                     if site.caller in seen or site.caller in blocked:
                         continue
@@ -175,20 +170,6 @@ class CallGraph:
             if len(path) > 64:  # defensive: next_hop is acyclic by BFS
                 break
         return path
-
-    def transitive_closure(self, roots: Set[str]) -> Set[str]:
-        """Functions reachable from ``roots`` over ``call`` edges."""
-        seen = set(roots)
-        frontier = list(roots)
-        while frontier:
-            node = frontier.pop()
-            for site in self.out_edges.get(node, ()):
-                if site.kind != "call":
-                    continue
-                if site.callee not in seen:
-                    seen.add(site.callee)
-                    frontier.append(site.callee)
-        return seen
 
 
 class _GraphBuilder:
@@ -215,11 +196,9 @@ class _GraphBuilder:
         for node in iter_body_nodes(fn.node):
             if not isinstance(node, ast.Call):
                 continue
-            callee, kind = self._resolve_call(node.func, cls, locals_)
+            callee = self._resolve_call(node.func, cls, locals_)
             if callee is not None:
-                self.graph._add(
-                    CallSite(fn.qualname, callee, node, fn.path, kind)
-                )
+                self.graph._add(CallSite(fn.qualname, callee, node, fn.path))
             self._emit_dispatch_refs(fn, node, callee, cls, locals_)
 
     # -------------------------------------------------------- resolution
@@ -229,20 +208,18 @@ class _GraphBuilder:
         func: ast.expr,
         cls: Optional[ClassInfo],
         locals_: Dict[str, str],
-    ) -> Tuple[Optional[str], str]:
-        """Resolve a call expression to ``(node id, edge kind)``."""
+    ) -> Optional[str]:
+        """Resolve a called (or referenced) expression to a node id."""
         # f(...) — bare name
         if isinstance(func, ast.Name):
             if func.id in locals_ and func.id not in self.info.functions:
-                return None, "call"  # shadowed by a typed local/param
+                return None  # shadowed by a typed local/param
             resolved = self.project.resolve_name(self.info, func.id)
             if resolved is not None:
-                return self._classify(resolved)
-            if func.id in TRACKED_BUILTINS:
-                return func.id, "call"
-            return None, "call"
+                return self._unless_class(resolved)
+            return func.id if func.id in TRACKED_BUILTINS else None
         if not isinstance(func, ast.Attribute):
-            return None, "call"
+            return None
         owner = func.value
         # mod.f(...) / mod.Class(...) — module alias attribute
         if isinstance(owner, ast.Name):
@@ -252,12 +229,12 @@ class _GraphBuilder:
                 if mod is not None:
                     resolved = self.project.resolve_name(mod, func.attr)
                     if resolved is not None:
-                        return self._classify(resolved)
-                return f"{target_mod}.{func.attr}", "call"
+                        return self._unless_class(resolved)
+                return f"{target_mod}.{func.attr}"
             owner_type = locals_.get(owner.id)
             if owner_type is not None:
                 return self._method(owner_type, func.attr)
-            return None, "call"
+            return None
         # self.attr.m(...) — typed instance attribute
         if (
             isinstance(owner, ast.Attribute)
@@ -268,7 +245,7 @@ class _GraphBuilder:
             attr_type = self._attr_type(cls, owner.attr)
             if attr_type is not None:
                 return self._method(attr_type, func.attr)
-        return None, "call"
+        return None
 
     def _attr_type(self, cls: ClassInfo, attr: str) -> Optional[str]:
         seen: Set[str] = set()
@@ -286,23 +263,16 @@ class _GraphBuilder:
             queue.extend(info.base_names)
         return None
 
-    def _method(self, class_path: str, name: str) -> Tuple[Optional[str], str]:
+    def _method(self, class_path: str, name: str) -> Optional[str]:
         """A method call on a value of known class type."""
         if class_path in self.project.classes:
-            resolved = self.project.method_of(class_path, name)
-            if resolved is not None:
-                return resolved, "call"
-            return None, "call"
-        return f"{class_path}.{name}", "call"  # external class method
+            return self.project.method_of(class_path, name)
+        return f"{class_path}.{name}"  # external class method
 
-    def _classify(self, resolved: str) -> Tuple[Optional[str], str]:
-        """A resolved dotted path as a call or constructor edge."""
-        if resolved in self.project.classes:
-            init = self.project.method_of(resolved, "__init__")
-            if init is not None:
-                return init, "init"
-            return f"{resolved}.__init__", "init"
-        return resolved, "call"
+    def _unless_class(self, resolved: str) -> Optional[str]:
+        """A resolved dotted path, or None for a project class (its
+        instantiation makes no edge)."""
+        return None if resolved in self.project.classes else resolved
 
     # -------------------------------------------------------- dispatches
 
@@ -333,22 +303,8 @@ class _GraphBuilder:
                 target = call.args[index]
         if target is None:
             return
-        resolved = self._resolve_ref(target, cls, locals_)
+        resolved = self._resolve_call(target, cls, locals_)
         if resolved is not None:
             self.graph._add(
                 CallSite(fn.qualname, resolved, call, fn.path, "ref")
             )
-
-    def _resolve_ref(
-        self,
-        expr: ast.expr,
-        cls: Optional[ClassInfo],
-        locals_: Dict[str, str],
-    ) -> Optional[str]:
-        """Resolve a *reference* to a callable (not a call) to a node id."""
-        resolved, kind = self._resolve_call(expr, cls, locals_)
-        if kind == "init" and resolved is not None:
-            # A class reference passed as a callable: the worker runs its
-            # constructor, which is precise enough for entry-point use.
-            return resolved
-        return resolved

@@ -3,9 +3,6 @@
 Usage::
 
     python -m repro.lint [paths...]            # default: src
-    python -m repro.lint --select frozen-config,no-wallclock src
-    python -m repro.lint --ignore no-mutable-default src tests
-    python -m repro.lint --format=json src     # machine-readable findings
     python -m repro.lint --format=github src   # ::error PR annotations
     python -m repro.lint --stats src tests     # run telemetry on stderr
     python -m repro.lint --list-rules          # the rule catalogue
@@ -13,46 +10,19 @@ Usage::
 Exit status: 0 clean, 1 findings, 2 usage error.  CI runs the tree-wide
 invocation as part of the fast lint gate (see ``.github/workflows/ci.yml``
 and ``docs/static-analysis.md``).  ``--stats`` writes to stderr so it
-composes with every format, including ``--format=json``.
+composes with either format.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import textwrap
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.registry import RULES, Rule, all_rules
+from repro.lint.registry import all_rules
 from repro.lint.runner import LintReport, lint_paths_report
-
-
-def _split_names(raw: Optional[str]) -> Optional[List[str]]:
-    if raw is None:
-        return None
-    return [name.strip() for name in raw.split(",") if name.strip()]
-
-
-def _resolve_rules(
-    select: Optional[List[str]], ignore: Optional[List[str]]
-) -> List[Rule]:
-    """Apply ``--select``/``--ignore`` to the registry, validating names."""
-    rules = all_rules()  # also populates RULES
-    known = set(RULES)
-    for names in (select or []), (ignore or []):
-        unknown = [n for n in names if n not in known]
-        if unknown:
-            raise SystemExit(
-                f"error: unknown rule(s): {', '.join(unknown)}; "
-                f"known rules: {', '.join(sorted(known))}"
-            )
-    if select is not None:
-        rules = [r for r in rules if r.name in select]
-    if ignore is not None:
-        rules = [r for r in rules if r.name not in ignore]
-    return rules
 
 
 def _list_rules() -> str:
@@ -118,15 +88,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--select", metavar="RULES",
-        help="comma-separated rule names to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore", metavar="RULES",
-        help="comma-separated rule names to skip",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "github"), default="text",
+        "--format", choices=("text", "github"), default="text",
         help="output format (default: text); github emits ::error "
         "workflow commands for inline PR annotations",
     )
@@ -145,13 +107,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_list_rules())
         return 0
 
-    rules = _resolve_rules(_split_names(args.select), _split_names(args.ignore))
-    report = lint_paths_report(args.paths, rules=rules)
+    report = lint_paths_report(args.paths)
     findings = report.findings
 
-    if args.format == "json":
-        print(json.dumps([d.to_dict() for d in findings], indent=2))
-    elif args.format == "github":
+    if args.format == "github":
         for diag in findings:
             print(_github_line(diag))
     else:

@@ -23,7 +23,6 @@ import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.astutil import decorator_parts
-from repro.lint.callgraph import iter_body_nodes
 from repro.lint.project import ClassInfo, ProjectContext
 
 #: attribute types treated as in-process mutual-exclusion locks.

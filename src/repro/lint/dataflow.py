@@ -1,29 +1,24 @@
-"""Reachability / taint queries over the call graph, with witnesses.
+"""Reachability queries over the call graph, with witnesses.
 
-The concurrency and taint rules all reduce to the same question: *can
-this function reach one of these sink operations through evidenced call
-edges, without passing through a sanctioned sanitizer?*  A
-:class:`ReachAnalysis` answers it for a whole sink set at once — one
-reverse BFS from the sinks, O(edges) — and keeps, for every reaching
-function, the first hop of a shortest witness path so diagnostics can
-print the actual chain (``handle -> _flush -> time.sleep``) instead of
-asserting reachability without evidence.
+``blocking-in-async`` reduces to one question: *can this function reach
+one of these sink operations through evidenced call edges, without
+passing through a blocked node?*  A :class:`ReachAnalysis` answers it
+for a whole sink set at once — one reverse BFS from the sinks, O(edges)
+— and keeps, for every reaching function, the first hop of a shortest
+witness path so diagnostics can print the actual chain (``handle ->
+_flush -> time.sleep``) instead of asserting reachability without
+evidence.
 
-Sanitizer semantics: a ``blocked`` node terminates propagation.  Paths
-may not pass *through* it, and a sink that is itself blocked never
-taints anything.  Rules use this two ways:
-
-* trust boundaries — every function in ``repro.util.rng`` is blocked for
-  the randomness/wallclock taints, so model code routed through the
-  sanctioned seeding helpers stays clean;
-* noise control — ``blocking-in-async`` blocks *other* ``async def``
-  functions, so each offending coroutine is reported once at its own
-  first sync hop rather than re-reported by every caller up the stack.
+A ``blocked`` node terminates propagation: paths may not pass *through*
+it, and a sink that is itself blocked reaches nothing.
+``blocking-in-async`` blocks *other* ``async def`` functions, so each
+offending coroutine is reported once at its own first sync hop rather
+than re-reported by every caller up the stack.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.lint.callgraph import CallGraph, CallSite
 from repro.lint.project import ProjectContext
@@ -37,12 +32,11 @@ class ReachAnalysis:
         graph: CallGraph,
         sinks: Set[str],
         blocked: Optional[Set[str]] = None,
-        follow_init: bool = False,
     ) -> None:
         self.graph = graph
         self.sinks = sinks
         self._next_hop: Dict[str, CallSite] = graph.reach_sinks(
-            sinks, blocked=blocked, follow_init=follow_init
+            sinks, blocked=blocked
         )
 
     def reaches(self, qualname: str) -> bool:
@@ -87,27 +81,6 @@ def display_name(qualname: str, project: ProjectContext) -> str:
 
 def _is_external(node: str, project: ProjectContext) -> bool:
     return node not in project.functions
-
-
-def functions_in_modules(
-    project: ProjectContext, module_names: Iterable[str]
-) -> Set[str]:
-    """Qualnames of every function defined in the named modules.
-
-    Used to build sanitizer sets: blocking a whole module makes all its
-    functions trust boundaries for a taint.
-    """
-    wanted = set(module_names)
-    out: Set[str] = set()
-    for info in project.modules.values():
-        if info.module not in wanted:
-            continue
-        for fn in info.functions.values():
-            out.add(fn.qualname)
-        for cls in info.classes.values():
-            for method in cls.methods.values():
-                out.add(method.qualname)
-    return out
 
 
 def async_functions(project: ProjectContext) -> Set[str]:

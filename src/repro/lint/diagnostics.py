@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
 
 
 @dataclass(frozen=True)
@@ -24,13 +23,3 @@ class Diagnostic:
     def format(self) -> str:
         """Render as the conventional ``path:line:col: rule: message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
-
-    def to_dict(self) -> Dict[str, Union[str, int]]:
-        """JSON-serialisable form (``--format=json``)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }

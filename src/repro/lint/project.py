@@ -1,13 +1,14 @@
 """Whole-program analysis context: symbol table + module index.
 
 The per-file rules see one AST at a time (:class:`~repro.lint.registry.
-FileContext`); cross-file hazards — a blocking call reached *transitively*
-from an ``async def``, a wall-clock read laundered through a helper module
-— need a view of the whole linted tree.  :class:`ProjectContext` is that
-view: every parsed module, every function and class indexed by dotted
-qualname, instance-attribute and local-variable types inferred where a
-constructor call or annotation makes them knowable, and the
-:class:`~repro.lint.callgraph.CallGraph` built on top.
+FileContext`); the concurrency hazards — a blocking call reached
+*transitively* from an ``async def``, an attribute written from both the
+event loop and a worker thread — need a view of the whole linted tree.
+:class:`ProjectContext` is that view: every parsed module, every function
+and class indexed by dotted qualname, instance-attribute and
+local-variable types inferred where a constructor call or annotation
+makes them knowable, and the :class:`~repro.lint.callgraph.CallGraph`
+built on top.
 
 Resolution is deliberately *best-effort* (documented in
 ``docs/static-analysis.md``): the import forms that actually occur,
@@ -190,10 +191,6 @@ class ProjectContext:
                     return resolved
             return f"{src_mod}.{src_name}"
         return None
-
-    def class_for(self, dotted: str) -> Optional[ClassInfo]:
-        """The project class at ``dotted``, if any."""
-        return self.classes.get(dotted)
 
     def method_of(self, class_qualname: str, name: str) -> Optional[str]:
         """Resolve ``name`` as a method of a class (bases included)."""

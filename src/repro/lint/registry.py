@@ -1,7 +1,7 @@
 """Rule protocol, per-file analysis context, and the rule registry.
 
-A rule is a small, self-documenting object: a ``name`` (what ``--select``,
-``--ignore`` and ``# repro: allow-<name>`` refer to), a one-line
+A rule is a small, self-documenting object: a ``name`` (what
+``# repro: allow-<name>`` refers to), a one-line
 ``summary``, a ``rationale`` paragraph explaining which reproduction
 invariant it protects (surfaced by ``--list-rules`` and mirrored in
 ``docs/static-analysis.md``), and a ``check(ctx)`` generator over
@@ -27,8 +27,9 @@ if TYPE_CHECKING:  # runtime import would be circular (project -> astutil)
 #: (``repro.faults`` is a single module, matched by full name below.)
 MODEL_PACKAGES = ("uarch", "core", "isa")
 
-#: single modules that are model scope despite living at the package root.
-MODEL_MODULES = ("repro.faults",)
+#: single modules that are model scope outside the model packages: the
+#: fault model, and the time-unit helpers the model's clocks are built on.
+MODEL_MODULES = ("repro.faults", "repro.util.units")
 
 #: the sanctioned randomness entry point — exempt from the random rules
 #: (it exists precisely to wrap :mod:`random` behind seeded substreams).
@@ -36,11 +37,7 @@ RNG_MODULE = "repro.util.rng"
 
 
 def is_model_module(module: str) -> bool:
-    """Whether a dotted module name is timing-model code.
-
-    Shared by :class:`FileContext` and the project-level taint rules, so
-    per-file and cross-file passes agree on what "model scope" means.
-    """
+    """Whether a dotted module name is timing-model code."""
     if module in MODEL_MODULES:
         return True
     parts = module.split(".")
@@ -86,18 +83,12 @@ class FileContext:
 class Rule:
     """Base class for one lint rule (see the module docstring)."""
 
-    #: registry key; also the pragma and --select/--ignore token.
+    #: registry key; also the ``# repro: allow-<name>`` pragma token.
     name: str = ""
     #: one-line description (rule listings, docs).
     summary: str = ""
     #: why the invariant matters for reproduction fidelity.
     rationale: str = ""
-    #: when True, the whole-tree runner skips ``check`` and relies on
-    #: ``check_project`` alone: the project-level analysis subsumes the
-    #: per-file one with better precision (e.g. cache-key-completeness
-    #: following fields across module boundaries).  ``lint_source`` /
-    #: ``lint_file`` — which have no project — still run ``check``.
-    project_replaces_check: bool = False
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
         """Yield findings for one file.
@@ -113,8 +104,8 @@ class Rule:
     ) -> Iterator[Diagnostic]:
         """Yield findings that need the whole-program view.
 
-        Default: no project-level findings.  Rules using the call graph
-        and dataflow layers override this; diagnostics are anchored at a
+        Default: no project-level findings.  The concurrency rules, which
+        need the call graph, override this; diagnostics are anchored at a
         call site (not the sink), and the runner filters them through
         that *file's* pragmas, so ``# repro: allow-<rule>`` works at the
         reported line exactly like per-file findings.

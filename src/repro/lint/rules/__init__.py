@@ -16,8 +16,8 @@ from repro.lint.rules import (  # noqa: F401  (side effect: registration)
     duplicate_def,
     frozen_config,
     lock_discipline,
+    model_imports,
     mutable_default,
-    pickle_boundary,
     swallowed_oserror,
     unseeded_random,
     untyped_stats,
@@ -33,8 +33,8 @@ __all__ = [
     "duplicate_def",
     "frozen_config",
     "lock_discipline",
+    "model_imports",
     "mutable_default",
-    "pickle_boundary",
     "swallowed_oserror",
     "unseeded_random",
     "untyped_stats",

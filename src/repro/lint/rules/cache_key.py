@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Set
 
 from repro.lint.astutil import (
     class_methods,
@@ -12,7 +12,6 @@ from repro.lint.astutil import (
     self_attribute_reads,
 )
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import FunctionInfo, ProjectContext
 from repro.lint.registry import FileContext, Rule, register
 
 #: methods that define a cache identity, in precedence order: when a class
@@ -25,117 +24,23 @@ KEY_METHODS = ("cache_key", "fingerprint")
 WHOLE_OBJECT_HELPERS = frozenset({"astuple", "asdict", "fields", "replace"})
 
 
-def _covers_all_fields(method: ast.AST, obj_name: str = "self") -> bool:
+def _covers_all_fields(method: ast.AST) -> bool:
     """Whether the method serialises the whole object (astuple(self), ...)."""
     for node in ast.walk(method):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        name: Optional[str] = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
+        name = (
+            func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute)
+            else None
+        )
         if name not in WHOLE_OBJECT_HELPERS:
             continue
         for arg in node.args:
-            if isinstance(arg, ast.Name) and arg.id == obj_name:
+            if isinstance(arg, ast.Name) and arg.id == "self":
                 return True
     return False
-
-
-def _attribute_reads(node: ast.AST, obj_name: str) -> Set[str]:
-    """Attributes read off ``obj_name`` anywhere under ``node``."""
-    out: Set[str] = set()
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Attribute)
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id == obj_name
-        ):
-            out.add(sub.attr)
-    return out
-
-
-def _obj_arg_positions(call: ast.Call, obj_name: str) -> List[int]:
-    """Positional indices (and -1 per keyword) where ``obj_name`` is
-    passed; keyword passes are resolved by parameter name instead."""
-    positions = [
-        i for i, arg in enumerate(call.args)
-        if isinstance(arg, ast.Name) and arg.id == obj_name
-    ]
-    return positions
-
-
-def _helper_coverage(
-    project: ProjectContext,
-    fn_qualname: str,
-    fn: FunctionInfo,
-    param: str,
-    depth: int,
-    seen: Set[Tuple[str, str]],
-) -> Tuple[Set[str], bool]:
-    """Fields a helper reads off the object passed as ``param``.
-
-    Follows the object one more level when the helper forwards it to
-    another resolvable project function; returns ``(reads, covers_all)``
-    where ``covers_all`` means a whole-object helper consumed it.
-    """
-    if depth > 3 or (fn_qualname, param) in seen:
-        return set(), False
-    seen.add((fn_qualname, param))
-    reads = _attribute_reads(fn.node, param)
-    if _covers_all_fields(fn.node, param):
-        return reads, True
-    graph = project.graph
-    sites = {
-        id(site.node): site.callee
-        for site in graph.out_edges.get(fn_qualname, ())
-        if site.kind == "call"
-    }
-    for node in ast.walk(fn.node):
-        if not isinstance(node, ast.Call):
-            continue
-        callee_name = sites.get(id(node))
-        if callee_name is None:
-            continue
-        callee = project.functions.get(callee_name)
-        if callee is None:
-            continue
-        for index in _obj_arg_positions(node, param):
-            target = _param_at(callee, index)
-            if target is None:
-                continue
-            sub_reads, sub_all = _helper_coverage(
-                project, callee_name, callee, target, depth + 1, seen
-            )
-            reads |= sub_reads
-            if sub_all:
-                return reads, True
-        for kw in node.keywords:
-            if isinstance(kw.value, ast.Name) and kw.value.id == param and (
-                kw.arg is not None
-            ):
-                sub_reads, sub_all = _helper_coverage(
-                    project, callee_name, callee, kw.arg, depth + 1, seen
-                )
-                reads |= sub_reads
-                if sub_all:
-                    return reads, True
-    return reads, False
-
-
-def _param_at(fn: FunctionInfo, index: int) -> Optional[str]:
-    """The parameter name at a positional index (skipping method self)."""
-    args = getattr(fn.node, "args", None)
-    if args is None:
-        return None
-    params = [a.arg for a in args.args]
-    if fn.class_name is not None and params:
-        params = params[1:]
-    if 0 <= index < len(params):
-        return str(params[index])
-    return None
 
 
 @register
@@ -151,117 +56,30 @@ class CacheKeyCompleteness(Rule):
         "in engine/jobs.py) silently aliases distinct jobs onto one cache "
         "entry, and the store serves a result computed under different "
         "semantics — the worst kind of corruption, because every test that "
-        "hits the warm cache agrees with the wrong answer. In project "
-        "mode the check follows fields across module boundaries: a key "
-        "method handing self to a serialisation helper in another module "
-        "gets credit for the fields that helper (transitively) reads."
+        "hits the warm cache agrees with the wrong answer. The key method "
+        "must read each field itself: a field that only a helper reads is "
+        "flagged, because nothing at the key method shows it is covered."
     )
-    #: the project pass re-runs the same audit with cross-module helper
-    #: resolution; running both would double-report every finding.
-    project_replaces_check = True
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
-        yield from self._check_tree(ctx.tree, ctx.path, project=None)
-
-    def check_project(
-        self, project: ProjectContext
-    ) -> Iterator[Diagnostic]:
-        for info in project.modules.values():
-            yield from self._check_tree(info.tree, info.path, project)
-
-    def _check_tree(
-        self, tree: ast.Module, path: str, project: Optional[ProjectContext]
-    ) -> Iterator[Diagnostic]:
-        for node in ast.walk(tree):
+        for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             if dataclass_decorator(node) is None:
                 continue
             methods = class_methods(node)
-            key_method = None
-            for name in KEY_METHODS:
-                if name in methods:
-                    key_method = methods[name]
-                    break
-            if key_method is None:
-                continue
-            fields = dict(dataclass_fields(node))
-            if not fields:
-                continue
-            if _covers_all_fields(key_method):
+            key_method = next(
+                (methods[n] for n in KEY_METHODS if n in methods), None
+            )
+            if key_method is None or _covers_all_fields(key_method):
                 continue
             covered: Set[str] = set(self_attribute_reads(key_method))
-            if project is not None:
-                extra, covers_all = self._cross_module_coverage(
-                    project, node, key_method
-                )
-                if covers_all:
-                    continue
-                covered |= extra
-            for field_name, field_node in fields.items():
+            for field_name, field_node in dataclass_fields(node):
                 if field_name not in covered:
-                    yield Diagnostic(
-                        rule=self.name,
-                        path=path,
-                        line=getattr(field_node, "lineno", 1),
-                        col=getattr(field_node, "col_offset", 0),
-                        message=(
-                            f"field {field_name!r} of {node.name} does not "
-                            f"feed {key_method.name}(); two jobs differing "
-                            "only in it would alias one cache entry"
-                        ),
+                    yield ctx.diag(
+                        self.name,
+                        field_node,
+                        f"field {field_name!r} of {node.name} does not "
+                        f"feed {key_method.name}(); two jobs differing "
+                        "only in it would alias one cache entry",
                     )
-
-    def _cross_module_coverage(
-        self,
-        project: ProjectContext,
-        cls_node: ast.ClassDef,
-        key_method: ast.FunctionDef,
-    ) -> Tuple[Set[str], bool]:
-        """Fields covered by helpers the key method hands ``self`` to."""
-        method_qual = None
-        for cls in project.classes.values():
-            if cls.node is cls_node:
-                info = cls.methods.get(key_method.name)
-                if info is not None:
-                    method_qual = info.qualname
-                break
-        if method_qual is None:
-            return set(), False  # nested class: indexing did not see it
-        args = key_method.args.args
-        self_name = args[0].arg if args else "self"
-        graph = project.graph
-        sites = {
-            id(site.node): site.callee
-            for site in graph.out_edges.get(method_qual, ())
-            if site.kind == "call"
-        }
-        covered: Set[str] = set()
-        seen: Set[Tuple[str, str]] = set()
-        for node in ast.walk(key_method):
-            if not isinstance(node, ast.Call):
-                continue
-            callee_name = sites.get(id(node))
-            if callee_name is None:
-                continue
-            callee = project.functions.get(callee_name)
-            if callee is None:
-                continue
-            targets = [
-                _param_at(callee, i)
-                for i in _obj_arg_positions(node, self_name)
-            ] + [
-                kw.arg for kw in node.keywords
-                if isinstance(kw.value, ast.Name)
-                and kw.value.id == self_name
-            ]
-            for target in targets:
-                if target is None:
-                    continue
-                reads, covers_all = _helper_coverage(
-                    project, callee_name, callee, target, 0, seen
-                )
-                covered |= reads
-                if covers_all:
-                    return covered, True
-        return covered, False

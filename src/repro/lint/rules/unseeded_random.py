@@ -6,16 +6,8 @@ import ast
 from typing import Iterator
 
 from repro.lint.astutil import ImportMap, iter_imports
-from repro.lint.dataflow import ReachAnalysis, functions_in_modules
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import ProjectContext
-from repro.lint.registry import (
-    RNG_MODULE,
-    FileContext,
-    Rule,
-    is_model_module,
-    register,
-)
+from repro.lint.registry import FileContext, Rule, register
 
 #: module-level functions of :mod:`random` that draw from (or reseed) the
 #: *global shared* stream — unacceptable anywhere: the stream's state
@@ -63,10 +55,9 @@ class NoUnseededRandom(Rule):
         "job. The global `random` stream is process-wide mutable state; an "
         "unseeded Random() seeds from the OS. Model packages may not touch "
         "the random module at all; elsewhere, seeded instances are fine "
-        "but the global stream and unseeded construction never are. The "
-        "project pass follows the call graph: model code reaching the "
-        "global stream through a helper module is flagged at the model-"
-        "side call site, unless the path routes through repro.util.rng."
+        "but the global stream and unseeded construction never are. "
+        "model-imports keeps every repro helper that model code can call "
+        "inside model scope."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -114,46 +105,3 @@ class NoUnseededRandom(Rule):
                     "SystemRandom is non-deterministic by construction; "
                     "results would not be reproducible",
                 )
-
-    def check_project(
-        self, project: ProjectContext
-    ) -> Iterator[Diagnostic]:
-        """Cross-file taint: model code reaching unsanctioned randomness.
-
-        Sinks are the process-global stream functions plus SystemRandom;
-        seeded ``Random(seed)`` instances outside model scope stay legal,
-        so reaching one through a helper is not a finding.  Paths through
-        ``repro.util.rng`` are the sanctioned route and terminate the
-        taint.  Direct calls are already flagged by the per-file check
-        (everywhere, not just model scope), so only transitive paths are
-        reported, at the model-side call site.
-        """
-        graph = project.graph
-        sinks = {f"random.{func}" for func in GLOBAL_STREAM_FUNCS}
-        sinks.add("random.SystemRandom")
-        reach = ReachAnalysis(
-            graph, sinks, blocked=functions_in_modules(project, (RNG_MODULE,))
-        )
-        for fn in project.iter_functions():
-            if not is_model_module(fn.module):
-                continue
-            hop = reach.first_hop(fn.qualname)
-            if hop is None:
-                continue
-            witness = reach.witness(fn.qualname)
-            if len(witness) <= 2:
-                continue  # direct call: per-file finding already fired
-            callee = project.functions.get(hop.callee)
-            if callee is not None and is_model_module(callee.module):
-                continue
-            yield Diagnostic(
-                rule=self.name,
-                path=hop.path,
-                line=hop.lineno,
-                col=getattr(hop.node, "col_offset", 0),
-                message=(
-                    f"model code reaches '{witness[-1]}' transitively: "
-                    f"{reach.path_string(fn.qualname)}; route the draw "
-                    "through repro.util.rng.substream(...)"
-                ),
-            )

@@ -6,16 +6,8 @@ import ast
 from typing import Iterator
 
 from repro.lint.astutil import ImportMap, iter_imports
-from repro.lint.dataflow import ReachAnalysis, functions_in_modules
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.project import ProjectContext
-from repro.lint.registry import (
-    RNG_MODULE,
-    FileContext,
-    Rule,
-    is_model_module,
-    register,
-)
+from repro.lint.registry import FileContext, Rule, register
 
 #: :mod:`time` members that read (or depend on) the host clock.  ``sleep``
 #: is included: a model that sleeps couples simulated behaviour to host
@@ -48,7 +40,7 @@ DATETIME_NOW = frozenset({"now", "utcnow", "today"})
 @register
 class NoWallclock(Rule):
     """Forbid host-clock reads in model code (``uarch``/``core``/``isa``/
-    ``faults``)."""
+    ``faults``/``util.units``)."""
 
     name = "no-wallclock"
     summary = "model code must not read host clocks (time.*, datetime.now)"
@@ -58,11 +50,8 @@ class NoWallclock(Rule):
         "the content-addressed ResultStore (two runs of one cache key "
         "disagree) and breaks the skip-ahead differential guarantee. "
         "Engine code legitimately times jobs for reporting — that is why "
-        "this rule is scoped to model packages only. The project pass "
-        "extends the check across files: a model function reaching "
-        "time.time() through a helper in another module is tainted too, "
-        "unless the path routes through the sanctioned repro.util.rng "
-        "seeding layer."
+        "this rule is scoped to model code only. model-imports keeps "
+        "every repro helper that model code can call inside that scope."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
@@ -121,44 +110,3 @@ class NoWallclock(Rule):
                     f"'datetime.{member}' used in model code; simulated "
                     "results must not depend on the calendar clock",
                 )
-
-    def check_project(
-        self, project: ProjectContext
-    ) -> Iterator[Diagnostic]:
-        """Cross-file taint: model code reaching a clock through helpers.
-
-        Direct reads (witness of two nodes) are the per-file check's
-        territory; only transitive paths are reported here, anchored at
-        the model-side call site.  Paths through ``repro.util.rng`` are
-        sanctioned — that module is the trust boundary for seed-time
-        entropy.  A first hop into another model-scope function is
-        skipped: that callee earns its own (shorter-path) finding.
-        """
-        graph = project.graph
-        sinks = {f"time.{member}" for member in TIME_MEMBERS}
-        reach = ReachAnalysis(
-            graph, sinks, blocked=functions_in_modules(project, (RNG_MODULE,))
-        )
-        for fn in project.iter_functions():
-            if not is_model_module(fn.module):
-                continue
-            hop = reach.first_hop(fn.qualname)
-            if hop is None:
-                continue
-            witness = reach.witness(fn.qualname)
-            if len(witness) <= 2:
-                continue  # direct call: per-file finding already fired
-            callee = project.functions.get(hop.callee)
-            if callee is not None and is_model_module(callee.module):
-                continue
-            yield Diagnostic(
-                rule=self.name,
-                path=hop.path,
-                line=hop.lineno,
-                col=getattr(hop.node, "col_offset", 0),
-                message=(
-                    f"model code reaches wall-clock '{witness[-1]}' "
-                    f"transitively: {reach.path_string(fn.qualname)}; "
-                    "derive timing from the simulated cycle/ps clock"
-                ),
-            )

@@ -4,10 +4,10 @@ Entry points, layered:
 
 * :func:`lint_source` — analyse one source string (the unit tests' door);
   per-file rules only, since one string is not a project;
-* :func:`lint_file` — read + analyse one file, likewise per-file;
 * :func:`lint_paths` / :func:`lint_paths_report` — recurse over files and
   directories, run the per-file pass *and* the whole-program project pass
-  (symbol table + call graph + dataflow; see :mod:`repro.lint.project`);
+  (symbol table + call graph for the concurrency rules; see
+  :mod:`repro.lint.project`);
 * :func:`lint_modules` — project-lint synthetic in-memory modules, the
   door for cross-file rule fixtures in the test suite.
 
@@ -19,9 +19,9 @@ is linted from the repo root, from ``src``, or from inside the package.
 
 Pragma semantics for project rules: a finding is suppressed by a
 ``# repro: allow-<rule>`` pragma at its *anchor* (the call site the
-diagnostic points at).  A pragma at the sink — the blocking helper, the
-wall-clock read — deliberately does not suppress callers in other files:
-suppression stays visible next to every reported line.
+diagnostic points at).  A pragma at the sink — the blocking helper —
+deliberately does not suppress callers in other files: suppression stays
+visible next to every reported line.
 """
 
 from __future__ import annotations
@@ -91,10 +91,7 @@ def module_name_for(path: str) -> str:
 
 
 def lint_source(
-    source: str,
-    path: str = "<source>",
-    module: Optional[str] = None,
-    rules: Optional[Sequence[Rule]] = None,
+    source: str, path: str = "<source>", module: Optional[str] = None
 ) -> List[Diagnostic]:
     """Analyse one source string; per-file rules only.
 
@@ -111,18 +108,9 @@ def lint_source(
         path, source, tree,
         module if module is not None else module_name_for(path),
     )
-    findings = _file_pass([parsed], rules, project_mode=False)
+    findings = _file_pass([parsed], all_rules())
     findings.sort(key=lambda d: (d.line, d.col, d.rule))
     return findings
-
-
-def lint_file(
-    path: str, rules: Optional[Sequence[Rule]] = None
-) -> List[Diagnostic]:
-    """Read and analyse one file (per-file rules only)."""
-    with open(path, encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, path=path, rules=rules)
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:
@@ -144,20 +132,15 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
     return sorted(set(out))
 
 
-def lint_paths(
-    paths: Iterable[str], rules: Optional[Sequence[Rule]] = None
-) -> List[Diagnostic]:
+def lint_paths(paths: Iterable[str]) -> List[Diagnostic]:
     """Analyse every Python file under ``paths`` (both passes)."""
-    return lint_paths_report(paths, rules=rules).findings
+    return lint_paths_report(paths).findings
 
 
-def lint_paths_report(
-    paths: Iterable[str], rules: Optional[Sequence[Rule]] = None
-) -> LintReport:
+def lint_paths_report(paths: Iterable[str]) -> LintReport:
     """Like :func:`lint_paths`, but keep the run telemetry too."""
     started = time.perf_counter()
-    if rules is None:
-        rules = all_rules()
+    rules = all_rules()
     findings: List[Diagnostic] = []
     parsed: List[ParsedFile] = []
     line_count = 0
@@ -175,7 +158,7 @@ def lint_paths_report(
             findings.append(_syntax_diag(path, exc))
             continue
         parsed.append((path, source, tree, module_name_for(path)))
-    findings.extend(_file_pass(parsed, rules, project_mode=True))
+    findings.extend(_file_pass(parsed, rules))
     project, project_findings = _project_pass(parsed, rules)
     findings.extend(project_findings)
     findings.sort(key=lambda d: (d.path, d.line, d.col, d.rule))
@@ -188,9 +171,7 @@ def lint_paths_report(
     )
 
 
-def lint_modules(
-    sources: Dict[str, str], rules: Optional[Sequence[Rule]] = None
-) -> List[Diagnostic]:
+def lint_modules(sources: Dict[str, str]) -> List[Diagnostic]:
     """Project-lint synthetic modules: ``{dotted.module.name: source}``.
 
     The door for cross-file rule fixtures: sources are parsed, indexed
@@ -200,13 +181,12 @@ def lint_modules(
     for ``repro.uarch.core``), so diagnostics and pragma filtering behave
     as they would for real files.
     """
-    if rules is None:
-        rules = all_rules()
+    rules = all_rules()
     parsed: List[ParsedFile] = []
     for module, source in sources.items():
         path = module.replace(".", os.sep) + ".py"
         parsed.append((path, source, ast.parse(source), module))
-    findings = _file_pass(parsed, rules, project_mode=True)
+    findings = _file_pass(parsed, rules)
     _, project_findings = _project_pass(parsed, rules)
     findings.extend(project_findings)
     findings.sort(key=lambda d: (d.path, d.line, d.col, d.rule))
@@ -227,26 +207,14 @@ def _syntax_diag(path: str, exc: SyntaxError) -> Diagnostic:
 
 
 def _file_pass(
-    parsed: Sequence[ParsedFile],
-    rules: Optional[Sequence[Rule]],
-    project_mode: bool,
+    parsed: Sequence[ParsedFile], rules: Sequence[Rule]
 ) -> List[Diagnostic]:
-    """Run per-file ``check`` over every parsed file, filtering pragmas.
-
-    In project mode, rules whose project analysis replaces the per-file
-    one (``project_replaces_check``) are skipped here.
-    """
-    if rules is None:
-        rules = all_rules()
-    active = [
-        r for r in rules
-        if not (project_mode and r.project_replaces_check)
-    ]
+    """Run per-file ``check`` over every parsed file, filtering pragmas."""
     findings: List[Diagnostic] = []
     for path, source, tree, module in parsed:
         ctx = FileContext(path=path, source=source, tree=tree, module=module)
         allowed = parse_pragmas(source)
-        for rule in active:
+        for rule in rules:
             for diag in rule.check(ctx):
                 if not is_allowed(allowed, diag.line, diag.rule):
                     findings.append(diag)

@@ -4,12 +4,7 @@ import ast
 import os
 import textwrap
 
-from repro.lint.dataflow import (
-    ReachAnalysis,
-    async_functions,
-    display_name,
-    functions_in_modules,
-)
+from repro.lint.dataflow import ReachAnalysis, async_functions, display_name
 from repro.lint.project import build_project
 
 
@@ -152,14 +147,13 @@ def test_self_method_call_resolves_through_bases():
     assert callees == ["repro.gamma.Base.shared"]
 
 
-def test_constructor_is_init_edge_and_typed_local_call_resolves():
+def test_constructor_makes_no_edge_and_typed_local_call_resolves():
     project = make_project(CLASSES)
     edges = {
         (s.callee, s.kind)
         for s in project.graph.out_edges["repro.delta.boot"]
     }
-    assert ("repro.gamma.Impl.__init__", "init") in edges
-    assert ("repro.gamma.Impl.run", "call") in edges
+    assert edges == {("repro.gamma.Impl.run", "call")}
 
 
 def test_nested_def_calls_are_not_attributed_to_the_encloser():
@@ -248,32 +242,10 @@ def test_function_without_a_path_does_not_reach():
     assert reach.witness("repro.alpha.clean") == []
 
 
-def test_init_edges_are_followed_only_on_request():
-    project = make_project(
-        {
-            "repro.slowinit": """
-            import time
-
-            class Slow:
-                def __init__(self):
-                    time.sleep(1)
-
-            def build():
-                return Slow()
-            """,
-        }
-    )
-    default = ReachAnalysis(project.graph, {"time.sleep"})
-    assert default.reaches("repro.slowinit.Slow.__init__")
-    assert not default.reaches("repro.slowinit.build")
-    follow = ReachAnalysis(project.graph, {"time.sleep"}, follow_init=True)
-    assert follow.reaches("repro.slowinit.build")
-
-
 # ---------------------------------------------------------------- dataflow
 
 
-def test_async_functions_and_module_function_sets():
+def test_async_functions_are_collected_across_classes():
     project = make_project(
         {
             "repro.svc": """
@@ -293,5 +265,3 @@ def test_async_functions_and_module_function_sets():
         "repro.svc.handle",
         "repro.svc.S.drain",
     }
-    names = functions_in_modules(project, ("repro.svc",))
-    assert {"repro.svc.handle", "repro.svc.S.drain", "repro.svc.S.sync"} <= names

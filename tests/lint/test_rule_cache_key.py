@@ -1,6 +1,9 @@
 """cache-key-completeness: every spec field must feed the cache key."""
 
+import os
 import textwrap
+
+import pytest
 
 from repro.lint import lint_modules, lint_source
 
@@ -142,7 +145,7 @@ def test_applies_tree_wide():
     assert findings(BAD_ESCAPED_FIELD, module="repro.experiments.common")
 
 
-# ----------------------------------------- cross-module field tracking
+# ------------------------------------------ fields only a helper reads
 
 
 SPEC_VIA_HELPER = """
@@ -159,83 +162,51 @@ SPEC_VIA_HELPER = """
             return digest(self)
     """
 
+HELPERS = {
+    "helper-reads-every-field": """
+        def digest(job):
+            return (job.alpha, job.beta)
+        """,
+    "helper-misses-a-field": """
+        def digest(job):
+            return (job.alpha,)
+        """,
+    "helper-forwards-the-object": """
+        def digest(job):
+            return _fold(job)
 
-def project_findings(sources):
-    diags = lint_modules(
-        {m: textwrap.dedent(s) for m, s in sources.items()}
-    )
-    return [d for d in diags if d.rule == "cache-key-completeness"]
+        def _fold(item):
+            return (item.alpha, item.beta)
+        """,
+    "helper-serialises-the-whole-object": """
+        from dataclasses import astuple
 
-
-def test_helper_in_another_module_covers_the_fields_it_reads():
-    assert (
-        project_findings(
-            {
-                "repro.engine.spec": SPEC_VIA_HELPER,
-                "repro.engine.keys": """
-            def digest(job):
-                return (job.alpha, job.beta)
-            """,
-            }
-        )
-        == []
-    )
-
-
-def test_fires_when_the_cross_module_helper_misses_a_field():
-    diags = project_findings(
-        {
-            "repro.engine.spec": SPEC_VIA_HELPER,
-            "repro.engine.keys": """
-            def digest(job):
-                return (job.alpha,)
-            """,
-        }
-    )
-    assert len(diags) == 1
-    assert "beta" in diags[0].message
-    assert diags[0].path.endswith("spec.py")
-
-
-def test_helper_forwarding_the_object_is_followed_one_more_level():
-    assert (
-        project_findings(
-            {
-                "repro.engine.spec": SPEC_VIA_HELPER,
-                "repro.engine.keys": """
-            def digest(job):
-                return _fold(job)
-
-            def _fold(item):
-                return (item.alpha, item.beta)
-            """,
-            }
-        )
-        == []
-    )
-
-
-def test_whole_object_helper_in_another_module_covers_everything():
-    assert (
-        project_findings(
-            {
-                "repro.engine.spec": SPEC_VIA_HELPER,
-                "repro.engine.keys": """
-            from dataclasses import astuple
-
-            def digest(job):
-                return astuple(job)
-            """,
-            }
-        )
-        == []
-    )
+        def digest(job):
+            return astuple(job)
+        """,
+}
 
 
 def test_per_file_pass_alone_cannot_credit_cross_module_helpers():
     # lint_source has no project: the helper's reads are invisible, so
-    # both fields look uncovered — which is exactly why the project pass
-    # replaces the per-file one on whole-tree runs
+    # both fields look uncovered
     diags = findings(textwrap.dedent(SPEC_VIA_HELPER))
     assert {d.rule for d in diags} == {"cache-key-completeness"}
     assert len(diags) == 2
+
+
+@pytest.mark.parametrize("helper", HELPERS.values(), ids=HELPERS.keys())
+def test_whole_tree_run_flags_fields_only_a_helper_reads(helper):
+    # the key method must read every field itself: whatever the helper in
+    # another module does, the whole-tree run flags both fields at the spec
+    diags = [
+        d for d in lint_modules(
+            {
+                "repro.engine.spec": textwrap.dedent(SPEC_VIA_HELPER),
+                "repro.engine.keys": textwrap.dedent(helper),
+            }
+        )
+        if d.rule == "cache-key-completeness"
+    ]
+    assert {d.path for d in diags} == {os.path.join("repro", "engine", "spec.py")}
+    assert [d.message.split("'")[1] for d in diags] == ["alpha", "beta"]

@@ -1,15 +1,11 @@
 """Behavioural tests of the cycle-stepped pipeline model."""
 
-import dataclasses
-
 import pytest
 
-from repro.isa.generator import generate_trace
 from repro.isa.instructions import Instr, OpClass
-from repro.isa.phases import PhaseMix, PhaseType, serial_chain_phase
 from repro.isa.trace import Trace
 from repro.uarch.cache import CacheConfig
-from repro.uarch.config import CoreConfig, core_config
+from repro.uarch.config import APPENDIX_A_CORES, CoreConfig, core_config
 from repro.uarch.core import Core
 from repro.uarch.run import run_standalone
 
@@ -68,6 +64,23 @@ class TestBasicExecution:
         )
         ratio = fast.ipc / slow.ipc
         assert 2.5 < ratio < 3.5  # 1 cycle/link vs 3 cycles/link
+
+    @pytest.mark.parametrize("name", sorted(APPENDIX_A_CORES))
+    def test_dependent_alu_chain_cost_per_link(
+        self, name
+    ):
+        # closed form: issue charges the scheduler depth on top of the
+        # 1-cycle IALU latency, and the dependant wakes awaken_latency
+        # cycles after completion, on every link of the chain
+        config = APPENDIX_A_CORES[name]
+        short = run_standalone(
+            config, _alu_trace(200, deps=True), prewarm=False
+        )
+        long = run_standalone(
+            config, _alu_trace(400, deps=True), prewarm=False
+        )
+        per_link = config.sched_depth + 1 + config.awaken_latency
+        assert long.cycles - short.cycles == 200 * per_link
 
     def test_ipt_folds_clock(self):
         a = run_standalone(_simple_config(clock_period_ns=0.5), _alu_trace(1000))
