@@ -192,7 +192,8 @@ def test_parallel_scaling(benchmark, capsys):
     one_s = time.perf_counter() - started
 
     def many_run():
-        return ParallelExecutor(workers=workers).run(jobs)
+        with ParallelExecutor(workers=workers) as executor:
+            return executor.run(jobs)
 
     many = run_once(benchmark, many_run)
     many_s = benchmark.stats.stats.mean

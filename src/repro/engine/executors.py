@@ -39,16 +39,28 @@ each chunk as its own future and survives every per-job failure mode —
 
 A batch therefore always returns one entry per job: failed jobs as
 ``JobFailure`` results, successes intact and bit-identical to serial.
+
+The worker pool lives as long as its executor: the first batch that needs
+workers spawns it, every later batch reuses it (warm imports, warm trace
+memo), and only a break or a watchdog kill replaces it.  Workers are
+started with the ``spawn`` method, because the service runs batches from
+a thread and ``fork`` is unsafe in a process with threads; a fresh pool
+has every worker started before any chunk is submitted, so start-up is
+never charged to a job's time budget.  :meth:`ParallelExecutor.close`
+(or a ``with`` block) joins the workers.
 """
 
 import logging
+import multiprocessing
 import os
+import threading
 import time
 import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
+from multiprocessing import connection
 from random import Random
 from typing import (
     Deque,
@@ -65,13 +77,17 @@ from repro.engine.failures import JobFailure, job_kind
 from repro.engine.jobs import SimJob, execute_job
 from repro.util.rng import substream
 
-if TYPE_CHECKING:  # the chaos runtime is an optional observer, typing only
+if TYPE_CHECKING:  # typing only; the chaos runtime is an optional observer
+    from multiprocessing.synchronize import Barrier
+
     from repro.chaos.engine import HarnessChaos
 
 _log = logging.getLogger("repro.engine")
 
 #: watchdog / completion poll interval (seconds)
 _POLL_S = 0.05
+#: longest a fresh worker waits for the rest of its pool to start (seconds)
+_START_TIMEOUT_S = 60.0
 
 
 def derive_chunk_size(n_jobs: int, workers: int, requested: int = 0) -> int:
@@ -127,6 +143,43 @@ def _run_chunk(
         else:
             out.append(("ok", result, time.perf_counter() - started))
     return out
+
+
+def _start_worker(barrier: "Barrier") -> None:
+    """Pool initializer: hold every worker until the whole pool is up.
+
+    A spawned worker unpickles this function, so by the time it runs the
+    worker has imported this module and with it every job module.  The
+    barrier keeps the pool's first tasks waiting until all its workers
+    have got this far, which lets :meth:`ParallelExecutor._start_pool`
+    wait for the whole pool with one round of tasks.  A daemon thread
+    ends the worker if its parent dies without closing the pool (a
+    crashed service or harness), so no worker outlives its owner.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is not None:
+        threading.Thread(
+            target=_exit_with_parent, args=(parent.sentinel,), daemon=True
+        ).start()
+    barrier.wait(_START_TIMEOUT_S)
+
+
+def _exit_with_parent(parent_sentinel: int) -> None:
+    """Exit the worker as soon as its parent process has gone."""
+    connection.wait([parent_sentinel])
+    os._exit(1)
+
+
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
+    """SIGKILL every worker of ``pool`` (a hung worker cannot be
+    cancelled through the executor API)."""
+    processes = getattr(pool, "_processes", None) or {}
+    for proc in list(processes.values()):
+        try:
+            proc.kill()
+        except OSError as exc:
+            # already-reaped worker: nothing to kill, nothing lost
+            _log.debug("kill of worker %s: %s", proc, exc)
 
 
 def _guarded_execute(job: SimJob, attempts: int = 1) -> Tuple[object, float]:
@@ -218,9 +271,18 @@ class SerialExecutor:
         """Execute the jobs one after another."""
         return [execute_job(job) for job in jobs]
 
+    def close(self) -> None:
+        """Nothing to release (the parallel executor's counterpart joins
+        its worker pool)."""
+
 
 class ParallelExecutor:
-    """Fan jobs out over a ``ProcessPoolExecutor``, fault-tolerantly.
+    """Fan jobs out over one ``ProcessPoolExecutor``, fault-tolerantly.
+
+    The pool is spawned by the first batch of two or more jobs and reused
+    by every later one; :meth:`close` (or leaving a ``with`` block) joins
+    its workers.  One :meth:`run` at a time: the executor is not
+    thread-safe.
 
     Parameters
     ----------
@@ -251,26 +313,77 @@ class ParallelExecutor:
         self.chunk_size = chunk_size
         self.retry = retry or RetryPolicy()
         self._chaos = chaos
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def __enter__(self) -> "ParallelExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down and join its workers.
+
+        Idempotent; a later multi-job batch would spawn a fresh pool.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     def run(self, jobs: Sequence[SimJob]) -> List[Tuple[object, float]]:
         """Execute the jobs across worker processes; order is preserved.
 
         Every job gets an entry: successes as ``(result, seconds)``,
-        unrecoverable failures as ``(JobFailure, seconds)``.
+        unrecoverable failures as ``(JobFailure, seconds)``.  A batch of
+        one job (or an executor of one worker) runs in this process.
         """
         jobs = list(jobs)
         if not jobs:
             return []
-        workers = min(self.workers, len(jobs))
-        if workers <= 1:
+        if min(self.workers, len(jobs)) <= 1:
             return [_guarded_execute(job) for job in jobs]
-        return self._run_pool(jobs, workers)
+        return self._run_pool(jobs)
 
     # ------------------------------------------------------------------
 
-    def _run_pool(
-        self, jobs: List[SimJob], workers: int
-    ) -> List[Tuple[object, float]]:
+    def _start_pool(self) -> Optional[ProcessPoolExecutor]:
+        """A fresh pool with every worker started, or ``None`` when no
+        pool can be started.
+
+        One round of ``workers`` tasks, all held at the start barrier
+        (:func:`_start_worker`) until every worker has imported the job
+        modules: a chunk submitted afterwards starts on a ready worker,
+        so the watchdog never charges a job for the pool's start-up.
+        """
+        ctx = multiprocessing.get_context("spawn")
+        try:
+            pool = self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=ctx,
+                initializer=_start_worker,
+                initargs=(ctx.Barrier(self.workers),),
+            )
+            ready = [pool.submit(os.getpid) for _ in range(self.workers)]
+            for fut in ready:
+                fut.result()
+        except (OSError, BrokenExecutor) as exc:
+            _log.warning(
+                "cannot start a worker pool (%s); running the rest of "
+                "the batch serially", exc,
+            )
+            self._discard_pool()
+            return None
+        return pool
+
+    def _discard_pool(self) -> None:
+        """Kill and join the pool (broken, watchdog-killed, failed to
+        start, or left mid-batch); the next round that needs workers
+        starts a fresh one."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            _kill_workers(pool)
+            pool.shutdown()
+
+    def _run_pool(self, jobs: List[SimJob]) -> List[Tuple[object, float]]:
         policy = self.retry
         # Backoff jitter draws from a *named* seeded substream
         # (repro.util.rng is the sanctioned randomness entry point), so
@@ -279,12 +392,11 @@ class ParallelExecutor:
         rng = substream(policy.jitter_seed, "engine", "backoff-jitter")
         n = len(jobs)
         results: List[Optional[Tuple[object, float]]] = [None] * n
-        size = derive_chunk_size(n, workers, self.chunk_size)
+        size = derive_chunk_size(n, self.workers, self.chunk_size)
         queue: Deque[_Chunk] = deque(
             _Chunk(tuple(range(i, min(i + size, n))))
             for i in range(0, n, size)
         )
-        pool: Optional[ProcessPoolExecutor] = None
         quarantine = False
         try:
             while queue:
@@ -293,21 +405,15 @@ class ParallelExecutor:
                     time.sleep(policy.backoff(
                         max(c.attempt for c in queue), rng
                     ))
+                pool = self._pool or self._start_pool()
                 if pool is None:
-                    try:
-                        pool = ProcessPoolExecutor(max_workers=workers)
-                    except OSError as exc:
-                        _log.warning(
-                            "cannot spawn a worker pool (%s); running %d "
-                            "chunk(s) serially", exc, len(queue),
-                        )
-                        while queue:
-                            chunk = queue.popleft()
-                            for i in chunk.indices:
-                                results[i] = _guarded_execute(
-                                    jobs[i], attempts=chunk.attempt
-                                )
-                        break
+                    while queue:
+                        chunk = queue.popleft()
+                        for i in chunk.indices:
+                            results[i] = _guarded_execute(
+                                jobs[i], attempts=chunk.attempt
+                            )
+                    break
                 if quarantine:
                     # one chunk in flight: a pool break is *this* chunk's
                     # fault, so attempts are spent with exact attribution
@@ -326,11 +432,12 @@ class ParallelExecutor:
                             "culprit", len(queue),
                         )
                 if broken:
-                    pool.shutdown(wait=False)
-                    pool = None
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                    self._discard_pool()
+        except BaseException:
+            # an aborted batch may leave chunks running: the next batch
+            # must not queue behind them
+            self._discard_pool()
+            raise
         out: List[Tuple[object, float]] = []
         for i, slot in enumerate(results):
             if slot is None:  # defensive: no job may go unanswered
@@ -558,10 +665,5 @@ class ParallelExecutor:
                 "watchdog: job exceeded %.1fs budget; recycling the "
                 "worker pool", policy.job_timeout_s,
             )
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                try:
-                    proc.kill()
-                except OSError as exc:
-                    # already-reaped worker: nothing to kill, nothing lost
-                    _log.debug("watchdog kill of %s: %s", proc, exc)
+            _kill_workers(pool)
         return fired

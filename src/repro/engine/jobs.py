@@ -114,29 +114,46 @@ def trace_fingerprint(trace: TraceLike) -> str:
 
 
 #: Per-process memo of materialised specs, so a worker that receives many
-#: jobs against the same spec generates the trace once.
+#: jobs against the same spec generates the trace once.  Pool workers live
+#: as long as their executor, so the memo is bounded twice: by entries and
+#: by instructions held.  The instruction budget holds the 11 ``full``-scale
+#: paper traces (100k instructions each).
 _TRACE_MEMO: Dict[TraceSpec, Trace] = {}
 _TRACE_MEMO_CAP = 32
+_TRACE_MEMO_INSTRS = 1_100_000
 
 
 def resolve_trace(trace: TraceLike) -> AnyTrace:
     """Resolve a :class:`TraceSpec` or pass a concrete trace through.
 
     Materialised specs are memoised per process (a worker receiving many
-    jobs against one spec generates the trace once).  Streaming specs are
-    *not* memoised: a :class:`~repro.isa.stream.StreamingTrace` is lazy —
-    construction costs nothing — and sharing one across jobs would share
-    its chunk window and restart accounting.
+    jobs against one spec generates the trace once), evicting the oldest
+    entries to stay within ``_TRACE_MEMO_CAP`` entries and
+    ``_TRACE_MEMO_INSTRS`` instructions; a trace longer than that budget is
+    never memoised.  Streaming specs are *not* memoised: a
+    :class:`~repro.isa.stream.StreamingTrace` is lazy — construction costs
+    nothing — and sharing one across jobs would share its chunk window and
+    restart accounting.
     """
     if not isinstance(trace, TraceSpec):
         return trace
     if trace.stream:
         return trace.resolve()
-    if trace not in _TRACE_MEMO:
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_CAP:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[trace] = trace.materialise()
-    return _TRACE_MEMO[trace]
+    if trace in _TRACE_MEMO:
+        return _TRACE_MEMO[trace]
+    resolved = trace.materialise()
+    if trace.length > _TRACE_MEMO_INSTRS:
+        return resolved
+    held = sum(spec.length for spec in _TRACE_MEMO)
+    while _TRACE_MEMO and (
+        len(_TRACE_MEMO) >= _TRACE_MEMO_CAP
+        or held + trace.length > _TRACE_MEMO_INSTRS
+    ):
+        oldest = next(iter(_TRACE_MEMO))
+        del _TRACE_MEMO[oldest]
+        held -= oldest.length
+    _TRACE_MEMO[trace] = resolved
+    return resolved
 
 
 def _digest(*parts: object) -> str:

@@ -105,7 +105,9 @@ def build_engine(
 
     ``jobs > 1`` selects the process-pool executor; ``cache_dir`` (or the
     default ``~/.cache/repro`` when it is the string ``"default"``) attaches
-    the persistent result store unless ``no_cache`` is set.
+    the persistent result store unless ``no_cache`` is set.  The caller
+    owns the engine's executor and closes it (``engine.executor.close()``)
+    when done, which joins its worker pool.
     """
     executor = ParallelExecutor(workers=jobs) if jobs > 1 else None
     store = None
@@ -299,6 +301,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     engine = build_engine(
         jobs=args.jobs, cache_dir=args.cache_dir, no_cache=args.no_cache
     )
+    try:
+        return _run_cli(args, engine)
+    finally:
+        # join the worker pool: no worker outlives the command
+        engine.executor.close()
+
+
+def _run_cli(args: argparse.Namespace, engine: SimEngine) -> int:
+    """Run the parsed invocation on ``engine``; returns the exit code."""
     started = time.time()
 
     def emit_records() -> None:

@@ -52,6 +52,13 @@ JOB_KINDS: Dict[str, type] = {
 }
 
 
+#: Longest trace the service materialises in full (the length the corpus
+#: memory test materialises, ~100 MB resident); a longer trace must be
+#: streamed.  Single-job batches run inside the service process, so this
+#: bounds the service's own memory, not only a worker's.
+MAX_MATERIALISED_LENGTH = 1_000_000
+
+
 class CodecError(ValueError):
     """A submission payload that does not describe a valid job."""
 
@@ -108,7 +115,8 @@ def decode_trace_spec(payload: object) -> TraceSpec:
     alike, validated eagerly — a request naming a profile that cannot
     resolve fails at decode time, not inside a worker.  ``stream`` opts
     the job into streaming generation (bounded-memory, bit-identical
-    results; see :class:`repro.engine.jobs.TraceSpec`).
+    results; see :class:`repro.engine.jobs.TraceSpec`); a trace longer
+    than :data:`MAX_MATERIALISED_LENGTH` is accepted only streamed.
     """
     spec = _require_mapping(payload, "trace")
     _check_keys(spec, ("profile", "length", "seed", "stream"), "trace")
@@ -118,6 +126,12 @@ def decode_trace_spec(payload: object) -> TraceSpec:
     stream = _typed(spec, "stream", (bool,), "trace", default=False)
     if length < 1:
         raise CodecError(f"trace.length must be >= 1, got {length}")
+    if length > MAX_MATERIALISED_LENGTH and not stream:
+        raise CodecError(
+            f"trace.length {length} exceeds {MAX_MATERIALISED_LENGTH}, the "
+            'longest trace materialised in full; send "stream": true to '
+            "simulate it in bounded memory"
+        )
     try:
         profile_key(profile)  # reject unresolvable profiles at the edge
         return TraceSpec(profile, length, seed=seed, stream=stream)

@@ -353,8 +353,8 @@ class SimService:
 
         Order matters: submissions are refused first, the queue and the
         in-flight batch then run dry (no admitted job is ever dropped),
-        and only then do the batcher, the listener, and the worker thread
-        go away.
+        and only then do the batcher, the listener, the worker thread and
+        finally the executor's worker processes go away.
         """
         self._draining = True
         while self._queue or self._inflight:
@@ -371,10 +371,11 @@ class SimService:
             await self._server.wait_closed()
             self._server = None
         # shutdown(wait=True) joins the worker thread — off-loop, so a
-        # long final batch cannot stall health checks while we drain
-        await asyncio.get_running_loop().run_in_executor(
-            None, self._batch_pool.shutdown
-        )
+        # long final batch cannot stall health checks while we drain;
+        # with no batch left to use it, the process pool is joined too
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._batch_pool.shutdown)
+        await loop.run_in_executor(None, self.engine.executor.close)
 
     def manifest(self) -> RunManifest:
         """A live provenance manifest: engine + store + service counters."""

@@ -65,8 +65,11 @@ def _harness_main(store_path, plan, conn):
         retry=dataclasses.replace(RETRY, jitter_seed=plan.seed),
         chaos=chaos,
     )
-    engine = SimEngine(executor=executor, store=store)
-    results = engine.run_many(make_batch())
+    # closed before the child exits: a multiprocessing child joins its
+    # live children on the way out, and idle pool workers never leave
+    with executor:
+        engine = SimEngine(executor=executor, store=store)
+        results = engine.run_many(make_batch())
     conn.send((canonical(results), chaos.counters(), store.counters()))
     conn.close()
 

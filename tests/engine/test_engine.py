@@ -65,9 +65,8 @@ class TestExecutorLayer:
             ContestJob((core_config("gcc"), core_config("vpr")), SPEC),
         ]
         serial = SimEngine().run_many(jobs)
-        parallel = SimEngine(
-            executor=ParallelExecutor(workers=2)
-        ).run_many(jobs)
+        with ParallelExecutor(workers=2) as executor:
+            parallel = SimEngine(executor=executor).run_many(jobs)
         assert serial == parallel
 
     def test_executed_counts_by_kind(self):

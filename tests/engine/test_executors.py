@@ -1,4 +1,10 @@
-"""Executor equivalence: where a job runs must never change its result."""
+"""Executor equivalence: where a job runs must never change its result.
+
+Also the worker pool's lifetime: one pool per executor, reused by every
+batch and joined by ``close()``.
+"""
+
+import os
 
 import pytest
 
@@ -6,6 +12,8 @@ from repro.engine.executors import ParallelExecutor, SerialExecutor
 from repro.engine.jobs import ContestJob, RegionLogJob, StandaloneJob
 from repro.engine.jobs import TraceSpec
 from repro.uarch.config import core_config
+
+from tests.engine.duck_jobs import PidJob, worker_pids
 
 SPEC = TraceSpec("gcc", 1000, seed=11)
 SPEC_B = TraceSpec("vpr", 1000, seed=11)
@@ -20,25 +28,43 @@ JOBS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def shared():
+    """One two-worker executor for the module: one pool start, not one
+    per test."""
+    with ParallelExecutor(workers=2, chunk_size=2) as executor:
+        yield executor
+
+
 class TestEquivalence:
-    def test_parallel_results_bit_identical_to_serial(self):
+    def test_parallel_results_bit_identical_to_serial(self, shared):
         serial = [r for r, _ in SerialExecutor().run(JOBS)]
-        parallel = [
-            r for r, _ in ParallelExecutor(workers=2, chunk_size=2).run(JOBS)
-        ]
+        parallel = [r for r, _ in shared.run(JOBS)]
         # dataclass equality is deep: every cycle count, per-region time,
         # and per-core RunStats must match exactly
         assert serial == parallel
 
-    def test_order_preserved(self):
-        results = [r for r, _ in ParallelExecutor(workers=2).run(JOBS[:3])]
+    def test_order_preserved(self, shared):
+        results = [r for r, _ in shared.run(JOBS[:3])]
         assert [r.config_name for r in results] == ["gcc", "vpr", "mcf"]
         assert results[2].trace_name == "vpr"
 
 
+class TestPoolLifecycle:
+    def test_batches_reuse_the_same_workers(self, shared):
+        first = worker_pids(shared)
+        second = worker_pids(shared)
+        assert len(first) == 2 and os.getpid() not in first
+        assert second == first
+
+    def test_single_job_batches_run_in_process(self, shared):
+        (pid, _), = shared.run([PidJob(0, hold_s=0.0)])
+        assert pid == os.getpid()
+
+
 class TestHarness:
-    def test_empty_batch(self):
-        assert ParallelExecutor(workers=2).run([]) == []
+    def test_empty_batch(self, shared):
+        assert shared.run([]) == []
 
     def test_single_worker_falls_back_to_serial(self):
         results = ParallelExecutor(workers=1).run(JOBS[:1])

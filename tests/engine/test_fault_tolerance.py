@@ -1,18 +1,17 @@
 """Crash paths of the parallel executor: raise, SIGKILL, hang, torn writes.
 
-The duck jobs below are module-level frozen dataclasses so the process
-pool can pickle them; each misbehaves in exactly one way.
+The misbehaving duck jobs live in :mod:`tests.engine.duck_jobs`.  Every
+test closes the executor it owns, so no worker outlives its test.
 """
 
 import multiprocessing
 import os
-import signal
 import time
-from dataclasses import dataclass
 
 import pytest
 
 from repro.analysis.regions import RegionLog
+from repro.engine import executors
 from repro.engine import (
     JobFailure,
     ParallelExecutor,
@@ -26,6 +25,15 @@ from repro.engine import (
 )
 from repro.uarch.config import core_config
 
+from tests.engine.duck_jobs import (
+    HangingJob,
+    HangOnceJob,
+    PidJob,
+    RaisingJob,
+    SuicideJob,
+    worker_pids,
+)
+
 SPEC = TraceSpec("gcc", 1000, seed=11)
 
 GOOD_JOBS = [
@@ -35,79 +43,16 @@ GOOD_JOBS = [
 ]
 
 
-@dataclass(frozen=True)
-class RaisingJob:
-    """Raises in the worker on every attempt."""
-
-    marker: str = "boom"
-    kind = "raising"
-
-    def cache_key(self):
-        return f"raising-{self.marker}"
-
-    def run(self):
-        raise ValueError(self.marker)
-
-
-@dataclass(frozen=True)
-class SuicideJob:
-    """SIGKILLs its worker process (an OOM kill's observable behaviour)."""
-
-    kind = "suicide"
-
-    def cache_key(self):
-        return "suicide"
-
-    def run(self):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-@dataclass(frozen=True)
-class HangingJob:
-    """Never returns within any reasonable budget."""
-
-    kind = "hanging"
-
-    def cache_key(self):
-        return "hanging"
-
-    def run(self):
-        time.sleep(300)
-
-
-@dataclass(frozen=True)
-class HangOnceJob:
-    """Hangs on its first attempt, returns promptly ever after.
-
-    The sentinel file is the cross-process attempt memory: the first
-    worker to run the job creates it and then wedges; any later attempt
-    sees it and succeeds.  This is the transiently-wedged-run shape (an
-    I/O stall, a cold NFS mount) the timed-out retry path exists for.
-    """
-
-    sentinel: str
-    kind = "hang_once"
-
-    def cache_key(self):
-        return f"hang-once-{self.sentinel}"
-
-    def run(self):
-        if os.path.exists(self.sentinel):
-            return "recovered"
-        with open(self.sentinel, "w") as handle:
-            handle.write("attempt 1 hung here\n")
-        time.sleep(300)
-
-
 FAST_RETRY = RetryPolicy(max_attempts=2, backoff_s=0.01)
 
 
 class TestRaisingJob:
     def test_failure_reported_others_succeed(self):
         jobs = GOOD_JOBS[:2] + [RaisingJob()] + GOOD_JOBS[2:]
-        timed = ParallelExecutor(
+        with ParallelExecutor(
             workers=2, chunk_size=2, retry=FAST_RETRY
-        ).run(jobs)
+        ) as executor:
+            timed = executor.run(jobs)
         results = [r for r, _ in timed]
         failure = results[2]
         assert isinstance(failure, JobFailure)
@@ -117,9 +62,10 @@ class TestRaisingJob:
         assert [results[0], results[1], results[3]] == serial
 
     def test_traceback_carried(self):
-        (failure, _), = ParallelExecutor(
-            workers=2, retry=FAST_RETRY
-        ).run([RaisingJob(), RaisingJob("other")])[:1]
+        with ParallelExecutor(workers=2, retry=FAST_RETRY) as executor:
+            (failure, _), = executor.run(
+                [RaisingJob(), RaisingJob("other")]
+            )[:1]
         assert isinstance(failure, JobFailure)
         assert "ValueError" in failure.traceback
 
@@ -130,9 +76,10 @@ class TestKilledWorker:
         # batch must still return one entry per job — the poisoned job as
         # a JobFailure, every other job bit-identical to a serial run.
         jobs = [GOOD_JOBS[0], SuicideJob(), GOOD_JOBS[1], GOOD_JOBS[2]]
-        timed = ParallelExecutor(
+        with ParallelExecutor(
             workers=2, chunk_size=2, retry=FAST_RETRY
-        ).run(jobs)
+        ) as executor:
+            timed = executor.run(jobs)
         assert len(timed) == len(jobs)
         results = [r for r, _ in timed]
         failure = results[1]
@@ -145,11 +92,10 @@ class TestKilledWorker:
     def test_chunk_mates_of_the_killed_job_still_succeed(self):
         # chunk_size=4 guarantees the killer shares a chunk with victims
         jobs = [SuicideJob()] + GOOD_JOBS
-        results = [
-            r for r, _ in ParallelExecutor(
-                workers=2, chunk_size=4, retry=FAST_RETRY
-            ).run(jobs)
-        ]
+        with ParallelExecutor(
+            workers=2, chunk_size=4, retry=FAST_RETRY
+        ) as executor:
+            results = [r for r, _ in executor.run(jobs)]
         assert isinstance(results[0], JobFailure)
         assert [r for r in results[1:] if isinstance(r, JobFailure)] == []
 
@@ -160,9 +106,10 @@ class TestHangingJob:
             max_attempts=1, backoff_s=0.01, job_timeout_s=0.5
         )
         started = time.monotonic()
-        timed = ParallelExecutor(
+        with ParallelExecutor(
             workers=2, chunk_size=1, retry=policy
-        ).run([HangingJob(), GOOD_JOBS[0]])
+        ) as executor:
+            timed = executor.run([HangingJob(), GOOD_JOBS[0]])
         elapsed = time.monotonic() - started
         failure = timed[0][0]
         assert isinstance(failure, JobFailure)
@@ -180,9 +127,10 @@ class TestTimedOutRetryPath:
             max_attempts=3, backoff_s=0.01, job_timeout_s=0.5
         )
         job = HangOnceJob(str(tmp_path / "first-attempt.sentinel"))
-        timed = ParallelExecutor(
+        with ParallelExecutor(
             workers=2, chunk_size=1, retry=policy
-        ).run([job, GOOD_JOBS[0]])
+        ) as executor:
+            timed = executor.run([job, GOOD_JOBS[0]])
         # the first attempt wedged (the sentinel proves it ran) but the
         # retry completed: no JobFailure anywhere
         assert timed[0][0] == "recovered"
@@ -193,9 +141,10 @@ class TestTimedOutRetryPath:
         policy = RetryPolicy(
             max_attempts=2, backoff_s=0.01, job_timeout_s=0.4
         )
-        timed = ParallelExecutor(
+        with ParallelExecutor(
             workers=2, chunk_size=1, retry=policy
-        ).run([HangingJob(), GOOD_JOBS[0]])
+        ) as executor:
+            timed = executor.run([HangingJob(), GOOD_JOBS[0]])
         failure = timed[0][0]
         assert isinstance(failure, JobFailure)
         assert failure.error_type == "JobTimeout"
@@ -213,9 +162,12 @@ class TestTimedOutRetryPath:
         policy = RetryPolicy(
             max_attempts=2, backoff_s=0.01, job_timeout_s=0.4
         )
-        timed = ParallelExecutor(
+        with ParallelExecutor(
             workers=2, chunk_size=2, retry=policy
-        ).run([HangingJob(), GOOD_JOBS[0], GOOD_JOBS[1], GOOD_JOBS[2]])
+        ) as executor:
+            timed = executor.run(
+                [HangingJob(), GOOD_JOBS[0], GOOD_JOBS[1], GOOD_JOBS[2]]
+            )
         failure = timed[0][0]
         assert isinstance(failure, JobFailure)
         assert failure.error_type == "JobTimeout"
@@ -227,25 +179,120 @@ class TestTimedOutRetryPath:
         policy = RetryPolicy(
             max_attempts=2, backoff_s=0.01, job_timeout_s=0.4
         )
-        engine = SimEngine(
-            executor=ParallelExecutor(workers=2, chunk_size=1, retry=policy),
-            store=ResultStore(tmp_path / "store"),
-        )
-        results = engine.run_many([HangingJob(), GOOD_JOBS[0]])
-        assert isinstance(results[0], JobFailure)
-        assert results[0].error_type == "JobTimeout"
-        assert engine.stats.failures == 1
-        # only the good job's record landed in the store
-        assert len(engine.store) == 1
-        assert engine.store.get("hanging", "hanging") is None
-        # a re-run re-executes the timed-out job (no poisoned record),
-        # while the good job is a pure cache hit; a second fresh job
-        # rides along so the uncached remainder keeps the pool path
-        # (a singleton batch would run serially, with no watchdog)
-        again = engine.run_many([HangingJob(), GOOD_JOBS[0], GOOD_JOBS[1]])
+        with ParallelExecutor(
+            workers=2, chunk_size=1, retry=policy
+        ) as executor:
+            engine = SimEngine(
+                executor=executor, store=ResultStore(tmp_path / "store"),
+            )
+            results = engine.run_many([HangingJob(), GOOD_JOBS[0]])
+            assert isinstance(results[0], JobFailure)
+            assert results[0].error_type == "JobTimeout"
+            assert engine.stats.failures == 1
+            # only the good job's record landed in the store
+            assert len(engine.store) == 1
+            assert engine.store.get("hanging", "hanging") is None
+            # a re-run re-executes the timed-out job (no poisoned record),
+            # while the good job is a pure cache hit; a second fresh job
+            # rides along so the uncached remainder keeps the pool path
+            # (a singleton batch would run serially, with no watchdog)
+            again = engine.run_many(
+                [HangingJob(), GOOD_JOBS[0], GOOD_JOBS[1]]
+            )
         assert isinstance(again[0], JobFailure)
         assert engine.stats.failures == 2
         assert engine.stats.memory_hits == 1
+
+
+class TestPoolLifecycle:
+    def test_pool_respawned_after_a_break_is_reused(self):
+        with ParallelExecutor(
+            workers=2, chunk_size=1, retry=FAST_RETRY
+        ) as executor:
+            broken = executor.run([SuicideJob(), GOOD_JOBS[0]])
+            assert broken[0][0].error_type == "WorkerDied"
+            first = worker_pids(executor)
+            second = worker_pids(executor)
+        assert len(first) == 2 and os.getpid() not in first
+        assert second == first
+
+    def test_pool_start_is_not_charged_to_the_job_budget(self):
+        # a fresh executor's first batch pays the spawn start-up; the
+        # watchdog budget below is a fraction of it, yet tiny jobs pass
+        started = time.perf_counter()
+        with ParallelExecutor(workers=2) as probe:
+            probe.run([PidJob(0, hold_s=0.0), PidJob(1, hold_s=0.0)])
+        start_up_s = time.perf_counter() - started
+        policy = RetryPolicy(max_attempts=1, job_timeout_s=start_up_s / 2)
+        tiny = [
+            StandaloneJob(core_config("gzip"), TraceSpec("gzip", 120, seed))
+            for seed in (1, 2)
+        ]
+        with ParallelExecutor(
+            workers=2, chunk_size=1, retry=policy
+        ) as executor:
+            timed = executor.run(tiny)
+        assert [r for r, _ in timed] == [
+            r for r, _ in SerialExecutor().run(tiny)
+        ]
+
+    def test_batch_runs_serially_when_no_pool_starts(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("no process slots left")
+
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", no_pool)
+        with ParallelExecutor(workers=2, retry=FAST_RETRY) as executor:
+            timed = executor.run(GOOD_JOBS)
+        serial = [r for r, _ in SerialExecutor().run(GOOD_JOBS)]
+        assert [r for r, _ in timed] == serial
+
+    def test_close_and_with_leave_no_child(self):
+        executor = ParallelExecutor(workers=2)
+        executor.run(GOOD_JOBS[:2])
+        assert len(multiprocessing.active_children()) == 2
+        executor.close()
+        assert multiprocessing.active_children() == []
+        executor.close()  # idempotent
+        with ParallelExecutor(workers=2) as executor:
+            executor.run(GOOD_JOBS[:2])
+            assert len(multiprocessing.active_children()) == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states from /proc"
+    )
+    def test_workers_exit_when_their_owner_dies(self):
+        ctx = multiprocessing.get_context("spawn")
+        receiver, sender = ctx.Pipe(duplex=False)
+        owner = ctx.Process(target=_abandon_pool, args=(sender,))
+        owner.start()
+        sender.close()
+        pids = receiver.recv()
+        receiver.close()
+        owner.join(timeout=60)
+        assert owner.exitcode == 0
+        deadline = time.monotonic() + 30
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(pids) == 2 and not any(map(_running, pids))
+
+
+def _abandon_pool(conn):
+    """Owner process: start a pool, report its workers, then exit without
+    closing it (as a crash would)."""
+    executor = ParallelExecutor(workers=2)
+    conn.send(worker_pids(executor))
+    conn.close()
+    os._exit(0)
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an exited, unreaped one is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestConcurrentStoreAppends:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import jobs
 from repro.engine.jobs import (
     ContestJob,
     RegionLogJob,
@@ -10,8 +11,9 @@ from repro.engine.jobs import (
     resolve_trace,
     trace_fingerprint,
 )
+from repro.experiments.common import SCALES
 from repro.isa.generator import generate_trace
-from repro.isa.workloads import workload_profile
+from repro.isa.workloads import BENCHMARKS, workload_profile
 from repro.uarch.config import core_config
 
 SPEC = TraceSpec("gcc", 1200, seed=11)
@@ -32,6 +34,46 @@ class TestTraceSpec:
         # a recipe fingerprint must never collide with a content fingerprint
         assert trace_fingerprint(SPEC).startswith("spec/")
         assert trace_fingerprint(SPEC.materialise()).startswith("trace/")
+
+
+class TestTraceMemo:
+    """The per-process memo is bounded by entries and by instructions."""
+
+    @pytest.fixture(autouse=True)
+    def small_memo(self, monkeypatch):
+        monkeypatch.setattr(jobs, "_TRACE_MEMO", {})
+        monkeypatch.setattr(jobs, "_TRACE_MEMO_INSTRS", 1000)
+
+    def test_oldest_evicted_to_fit_the_instruction_budget(self):
+        a, b, c = (TraceSpec("gcc", 400, seed=s) for s in (1, 2, 3))
+        first = resolve_trace(a)
+        resolve_trace(b)
+        resolve_trace(c)
+        assert list(jobs._TRACE_MEMO) == [b, c]
+        assert resolve_trace(a) is not first
+        assert list(jobs._TRACE_MEMO) == [c, a]
+
+    def test_oldest_evicted_at_the_entry_cap(self, monkeypatch):
+        monkeypatch.setattr(jobs, "_TRACE_MEMO_CAP", 2)
+        specs = [TraceSpec("gcc", 100, seed=s) for s in range(3)]
+        for spec in specs:
+            resolve_trace(spec)
+        assert list(jobs._TRACE_MEMO) == specs[1:]
+
+    def test_trace_over_the_budget_is_never_memoised(self):
+        small = TraceSpec("gcc", 300, seed=1)
+        resolve_trace(small)
+        big = TraceSpec("gcc", 1001, seed=1)
+        assert resolve_trace(big) is not resolve_trace(big)
+        assert len(resolve_trace(big)) == 1001
+        # nothing was evicted to make room for it
+        assert list(jobs._TRACE_MEMO) == [small]
+
+
+def test_memo_budget_holds_the_full_scale_paper_traces():
+    assert jobs._TRACE_MEMO_CAP == 32
+    full = len(BENCHMARKS) * SCALES["full"].trace_len
+    assert jobs._TRACE_MEMO_INSTRS == full
 
 
 class TestCacheKeys:

@@ -9,6 +9,7 @@ draining service must refuse new work while finishing every admitted job.
 """
 
 import asyncio
+import multiprocessing
 
 import pytest
 
@@ -142,6 +143,9 @@ def test_drain_finishes_admitted_work_and_refuses_new(tmp_path):
             stats = service.registry.snapshot()
             assert stats["service.completed"] == 4
             assert stats["service.failed"] == 0
+            # and left no worker process behind (the 4-job batch ran on
+            # the process pool)
+            assert multiprocessing.active_children() == []
 
     run(scenario())
 

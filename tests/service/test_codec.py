@@ -14,6 +14,7 @@ import pytest
 from repro.engine.jobs import ContestJob, StandaloneJob, TraceSpec
 from repro.faults import FaultPlan
 from repro.service.codec import (
+    MAX_MATERIALISED_LENGTH,
     CodecError,
     decode_core_config,
     decode_job,
@@ -100,6 +101,19 @@ def test_rejects_unknown_core_name_and_bad_trace():
              "trace": {"profile": "gcc", "length": 0}})
     rejects({"kind": "standalone", "config": "gcc",
              "trace": {"profile": "gcc"}})
+
+
+def test_long_traces_must_be_streamed():
+    # a non-streamed spec is materialised whole, in a worker or, for a
+    # single-job batch, in the service process itself
+    longest = {"profile": "gcc", "length": MAX_MATERIALISED_LENGTH}
+    assert decode_trace_spec(longest).length == MAX_MATERIALISED_LENGTH
+    with pytest.raises(CodecError, match='"stream": true'):
+        decode_trace_spec({"profile": "gcc", "length": 10**9})
+    streamed = decode_trace_spec(
+        {"profile": "gcc", "length": 10**9, "stream": True}
+    )
+    assert streamed == TraceSpec("gcc", 10**9, stream=True)
 
 
 def test_rejects_partial_inline_config():

@@ -15,6 +15,7 @@ import pytest
 
 from repro.engine.jobs import StandaloneJob, TraceSpec
 from repro.service import ServiceClient, ServiceError
+from repro.service.codec import MAX_MATERIALISED_LENGTH
 from repro.uarch.config import core_config
 
 from tests.service.conftest import (
@@ -203,6 +204,25 @@ def test_error_statuses(tmp_path):
             assert stats["service.errors"] == 0
             assert stats["service.submitted"] == 0
             assert stats["service.requests"] >= 6
+
+    run(scenario())
+
+
+def test_unstreamed_trace_over_the_cap_is_a_400(tmp_path):
+    # one length past the cap: were it admitted, the service itself would
+    # materialise it (a single-job batch runs in the service process)
+    trace = {"profile": "gcc", "length": MAX_MATERIALISED_LENGTH + 1}
+    job = {"kind": "standalone", "config": "gcc", "trace": trace}
+
+    async def scenario():
+        async with serving(service_config(tmp_path)) as (service, client):
+            with pytest.raises(ServiceError) as excinfo:
+                await client.request(
+                    "POST", "/v1/jobs", payload={"jobs": [job]}
+                )
+            assert excinfo.value.status == 400
+            assert '"stream": true' in excinfo.value.payload["error"]
+            assert snapshot(await client.stats())["service.submitted"] == 0
 
     run(scenario())
 
