@@ -15,6 +15,10 @@ the whole layer exists for:
 
 The fast slice runs on every push; the full soak
 (:data:`SOAK_SEEDS` schedules, ``-m slow``) rides the nightly CI job.
+Schedules spend most of their wall time waiting (injected hangs sit out
+the watchdog budget) or starting spawned worker pools, so the first
+harness runs of the next :data:`AHEAD` selected schedules are already
+running while a test drives its own (:class:`Schedules`).
 """
 
 import dataclasses
@@ -49,6 +53,9 @@ RETRY = RetryPolicy(max_attempts=3, backoff_s=0.01, job_timeout_s=1.5)
 #: ``crash_after_writes`` disabled; more would mean a convergence bug)
 MAX_RUNS = 4
 
+#: selected schedules whose first harness run starts before their test
+AHEAD = 3
+
 
 def _harness_main(store_path, plan, conn):
     """Child-process harness: the full engine stack under one chaos plan.
@@ -74,8 +81,8 @@ def _harness_main(store_path, plan, conn):
     conn.close()
 
 
-def _run_once(store_path, plan):
-    """One harness child run; returns ``(exitcode, payload-or-None)``."""
+def _start_harness(store_path, plan):
+    """Fork one harness child; returns ``(process, receiver)``."""
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     proc = ctx.Process(
@@ -83,6 +90,11 @@ def _run_once(store_path, plan):
     )
     proc.start()
     sender.close()
+    return proc, receiver
+
+
+def _finish_harness(proc, receiver, plan):
+    """Wait for one harness child; returns ``(exitcode, payload-or-None)``."""
     try:
         payload = receiver.recv()
     except EOFError:  # child died (crash schedule) before sending
@@ -97,13 +109,19 @@ def _run_once(store_path, plan):
     return proc.exitcode, payload
 
 
-def run_schedule(store_path, seed, clean_results):
-    """Drive one schedule to completion and assert the soak invariant."""
+def run_schedule(store_path, seed, clean_results, first):
+    """Drive one schedule to completion and assert the soak invariant.
+
+    ``first`` is the schedule's first harness run, ``(process,
+    receiver)``, already started (:class:`Schedules`).
+    """
     plan = ChaosPlan.sample(seed)
     payload = None
     crashes = 0
     for _ in range(MAX_RUNS):
-        exitcode, payload = _run_once(store_path, plan)
+        harness = first or _start_harness(store_path, plan)
+        first = None
+        exitcode, payload = _finish_harness(*harness, plan)
         if exitcode == CRASH_EXIT_STATUS:
             # the harness died mid-batch as scheduled; restart against
             # the same store with only the crash disabled — every other
@@ -132,21 +150,90 @@ def run_schedule(store_path, seed, clean_results):
     return chaos_counters, store_counters
 
 
+class Schedules:
+    """This module's schedules, each started before its test needs it.
+
+    When a test asks for its seed, the first harness runs of the next
+    :data:`AHEAD` selected schedules start too, so their waits and pool
+    starts overlap with this one.  Each schedule still runs in its own
+    forked harness against its own store, and each test asserts on its
+    own seed only.  A seed that has already converged in this session is
+    not run again: its counters are returned.
+    """
+
+    def __init__(self, directory, clean_results, seeds):
+        self._dir = directory
+        self._clean = clean_results
+        #: seeds of the selected tests, in run order
+        self._seeds = seeds
+        #: seed -> first harness run, started ahead of its test
+        self._started = {}
+        #: seed -> (chaos counters, store counters) once converged
+        self._converged = {}
+
+    def _store_path(self, seed):
+        return self._dir / f"seed{seed}.jsonl"
+
+    def _start(self, seed):
+        if seed not in self._started and seed not in self._converged:
+            self._started[seed] = _start_harness(
+                self._store_path(seed), ChaosPlan.sample(seed)
+            )
+
+    def run(self, seed):
+        """Drive ``seed``'s schedule to convergence (asserting the soak
+        invariant); returns ``(chaos_counters, store_counters)``."""
+        if seed in self._converged:
+            return self._converged[seed]
+        self._start(seed)
+        if seed in self._seeds:
+            at = self._seeds.index(seed)
+            for later in self._seeds[at + 1:at + 1 + AHEAD]:
+                self._start(later)
+        counters = run_schedule(
+            self._store_path(seed), seed, self._clean,
+            self._started.pop(seed),
+        )
+        self._converged[seed] = counters
+        return counters
+
+    def close(self):
+        """Reap the harness runs started for tests that never ran
+        (a failure under ``-x``, an interrupt)."""
+        for seed, (proc, receiver) in self._started.items():
+            _finish_harness(proc, receiver, ChaosPlan.sample(seed))
+        self._started.clear()
+
+
+@pytest.fixture(scope="module")
+def schedules(request, tmp_path_factory, clean_results):
+    """One :class:`Schedules` for the module, told the seeds of the
+    selected tests in the order they will run."""
+    seeds = [
+        item.callspec.params["seed"]
+        for item in request.session.items
+        if getattr(item, "module", None) is request.module
+        and hasattr(item, "callspec")
+    ]
+    runner = Schedules(
+        tmp_path_factory.mktemp("schedules"), clean_results, seeds
+    )
+    yield runner
+    runner.close()
+
+
 @pytest.mark.parametrize("seed", FAST_SEEDS)
-def test_fast_slice_converges(tmp_path, seed, clean_results):
-    store_path = tmp_path / "store.jsonl"
-    run_schedule(store_path, seed, clean_results)
+def test_fast_slice_converges(schedules, seed):
+    schedules.run(seed)
 
 
-def test_fast_slice_actually_injects(tmp_path, clean_results):
+def test_fast_slice_actually_injects(schedules):
     # the soak proves nothing if the sampled schedules are quiet: across
     # the fast slice, faults must actually fire on both the executor and
     # the store paths
     totals = {}
     for seed in FAST_SEEDS:
-        chaos_counters, _ = run_schedule(
-            tmp_path / f"s{seed}.jsonl", seed, clean_results
-        )
+        chaos_counters, _ = schedules.run(seed)
         for name, count in chaos_counters.items():
             totals[name] = totals.get(name, 0) + count
     assert sum(totals.values()) > 0
@@ -160,6 +247,5 @@ def test_fast_slice_actually_injects(tmp_path, clean_results):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SOAK_SEEDS)
-def test_soak_converges(tmp_path, seed, clean_results):
-    store_path = tmp_path / "store.jsonl"
-    run_schedule(store_path, seed, clean_results)
+def test_soak_converges(schedules, seed):
+    schedules.run(seed)
