@@ -161,7 +161,35 @@ def _start_worker(barrier: "Barrier") -> None:
         threading.Thread(
             target=_exit_with_parent, args=(parent.sentinel,), daemon=True
         ).start()
-    barrier.wait(_START_TIMEOUT_S)
+    _pin_to_own_cpu(barrier.wait(_START_TIMEOUT_S), barrier.parties)
+
+
+def _pin_to_own_cpu(index: int, workers: int) -> None:
+    """Pin worker ``index`` of a ``workers``-process pool to a CPU of its
+    own, when the process may use at least ``workers`` CPUs.
+
+    Workers sleep between batches, and the kernel may wake all of a
+    batch's workers onto one CPU while another stays idle.  On a 2-vCPU
+    VM it did so for every 4-core sweep of some ``repro-serve`` runs and
+    for few sweeps of others, so a worker job's wall time was up to twice
+    its CPU time and the service's simulation speed changed ~1.5x from
+    one run to the next.  Pinning keeps a batch on as many CPUs as it has
+    workers.  The first CPU is rotated by the owner's pid, so pools of
+    different owners on a large machine do not all start at the same
+    CPU.  Without an affinity API, or with more workers than CPUs,
+    placement is left to the kernel.
+    """
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return
+    if workers > len(cpus):
+        return
+    cpu = cpus[(os.getppid() + index) % len(cpus)]
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError as exc:  # CPU withdrawn from the process's set
+        _log.debug("cannot pin worker %d to CPU %d: %s", index, cpu, exc)
 
 
 def _exit_with_parent(parent_sentinel: int) -> None:

@@ -93,6 +93,23 @@ class PidJob:
         return os.getpid()
 
 
+@dataclass(frozen=True)
+class CpuJob:
+    """Answers with the pid of the process that ran it and the CPUs that
+    process may run on, after ``hold_s``."""
+
+    tag: int
+    hold_s: float = 0.1
+    kind = "cpus"
+
+    def cache_key(self):
+        return f"cpus-{self.tag}-{self.hold_s}"
+
+    def run(self):
+        time.sleep(self.hold_s)
+        return os.getpid(), tuple(sorted(os.sched_getaffinity(0)))
+
+
 def worker_pids(executor):
     """The pids that answer a four-job batch on ``executor``."""
     return {pid for pid, _ in executor.run([PidJob(i) for i in range(4)])}

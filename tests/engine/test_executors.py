@@ -1,7 +1,7 @@
 """Executor equivalence: where a job runs must never change its result.
 
 Also the worker pool's lifetime: one pool per executor, reused by every
-batch and joined by ``close()``.
+batch and joined by ``close()``, its workers each pinned to a CPU.
 """
 
 import os
@@ -9,11 +9,15 @@ import os
 import pytest
 
 from repro.engine.executors import ParallelExecutor, SerialExecutor
+from repro.engine.executors import _pin_to_own_cpu
 from repro.engine.jobs import ContestJob, RegionLogJob, StandaloneJob
 from repro.engine.jobs import TraceSpec
 from repro.uarch.config import core_config
 
-from tests.engine.duck_jobs import PidJob, worker_pids
+from tests.engine.duck_jobs import CpuJob, PidJob, worker_pids
+
+#: the CPUs this process may use (empty without an affinity API)
+CPUS = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
 
 SPEC = TraceSpec("gcc", 1000, seed=11)
 SPEC_B = TraceSpec("vpr", 1000, seed=11)
@@ -60,6 +64,23 @@ class TestPoolLifecycle:
     def test_single_job_batches_run_in_process(self, shared):
         (pid, _), = shared.run([PidJob(0, hold_s=0.0)])
         assert pid == os.getpid()
+
+    @pytest.mark.skipif(
+        len(CPUS) < 2, reason="needs an affinity API and two CPUs"
+    )
+    def test_workers_pinned_to_cpus_of_their_own(self, shared):
+        cpus = dict(r for r, _ in shared.run([CpuJob(i) for i in range(4)]))
+        assert len(cpus) == 2
+        assert all(len(mask) == 1 for mask in cpus.values())
+        assert len(set(cpus.values())) == 2
+
+    @pytest.mark.skipif(not CPUS, reason="needs an affinity API")
+    def test_more_workers_than_cpus_are_left_unpinned(self):
+        try:
+            _pin_to_own_cpu(0, len(CPUS) + 1)
+            assert os.sched_getaffinity(0) == CPUS
+        finally:
+            os.sched_setaffinity(0, CPUS)
 
 
 class TestHarness:
