@@ -1,8 +1,8 @@
 """``repro.chaos`` — deterministic fault injection for the harness.
 
 ``repro.faults`` breaks the *simulated* machine; this package breaks the
-machinery running it: worker processes, the process pool, persistent
-store writes, and single jobs in a worker.  A seeded
+machinery running it: worker processes, their pipes, persistent store
+writes, and single jobs in a worker.  A seeded
 :class:`~repro.chaos.plan.ChaosPlan` drives a
 :class:`~repro.chaos.engine.HarnessChaos` runtime whose hooks hang off
 ``ParallelExecutor(chaos=...)`` and ``ResultStore(chaos=...)`` — hoisted

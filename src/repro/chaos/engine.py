@@ -11,9 +11,8 @@ single pointer comparison per site.
 """
 
 import os
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.chaos.hooks import Action
 from repro.chaos.plan import (
@@ -41,13 +40,13 @@ CRASH_EXIT_STATUS = 86
 class ChaosStats:
     """Injection counters for one :class:`HarnessChaos` instance."""
 
-    #: worker processes hard-killed mid-chunk
+    #: worker processes hard-killed mid-job
     kills: int = 0
     #: worker hangs injected (watchdog bait)
     hangs: int = 0
     #: benign worker slowdowns injected
     slows: int = 0
-    #: ``BrokenProcessPool`` raised at submit
+    #: ``BrokenPipeError`` raised at a job's hand-over to a worker
     pool_breaks: int = 0
     #: store appends failed with an injected ``OSError``
     write_fails: int = 0
@@ -106,43 +105,37 @@ class HarnessChaos:
 
     # ---------------------------------------------------------- executor
 
-    def chunk_actions(
-        self, n_jobs: int, attempt: int, max_attempts: int
-    ) -> Optional[Tuple[Optional[Action], ...]]:
-        """Directives for one chunk submission, one slot per job.
+    def job_action(
+        self, attempt: int, max_attempts: int
+    ) -> Optional[Action]:
+        """The directive for one job's hand-over to a worker, if any.
 
-        Destructive actions (kill, hang) are never scheduled on the
-        chunk's final permitted attempt — the structural guarantee that
-        every job retains a clean shot within its retry budget (see
-        :mod:`repro.chaos.plan`).  Returns ``None`` when every slot is
-        clean, so the worker-side fast path stays untouched.
+        Destructive actions (kill, hang, backend-fail) are never
+        scheduled on the job's final permitted attempt — the structural
+        guarantee that every job retains a clean shot within its retry
+        budget (see :mod:`repro.chaos.plan`).  Returns ``None`` for a
+        clean hand-over, so the worker-side fast path stays untouched.
         """
         last_chance = attempt >= max_attempts
-        actions: List[Optional[Action]] = []
-        for _ in range(n_jobs):
-            action: Optional[Action] = None
-            if not last_chance and self._draw(SITE_WORKER_KILL):
-                action = ("kill", 0.0)
-            elif not last_chance and self._draw(SITE_WORKER_HANG):
-                action = ("hang", self.plan.hang_s)
-            elif not last_chance and self._draw(SITE_BACKEND_FAIL):
-                action = ("backend-fail", 0.0)
-            elif self._draw(SITE_WORKER_SLOW):
-                action = ("slow", self.plan.slow_s)
-            actions.append(action)
-        if all(a is None for a in actions):
-            return None
-        return tuple(actions)
+        if not last_chance and self._draw(SITE_WORKER_KILL):
+            return ("kill", 0.0)
+        if not last_chance and self._draw(SITE_WORKER_HANG):
+            return ("hang", self.plan.hang_s)
+        if not last_chance and self._draw(SITE_BACKEND_FAIL):
+            return ("backend-fail", 0.0)
+        if self._draw(SITE_WORKER_SLOW):
+            return ("slow", self.plan.slow_s)
+        return None
 
     def before_submit(self) -> None:
-        """Pool-submit hook: may raise an injected ``BrokenProcessPool``.
+        """Hand-over hook: may raise an injected ``BrokenPipeError``.
 
-        The executor's existing recovery path requeues the chunk with no
-        attempt spent and respawns the pool, exactly as for a real break
-        detected at submit time.
+        That is what a send to a dead worker raises, so the executor
+        takes the path it takes for a real broken pipe: the job goes back
+        to the queue with no attempt spent and the worker is replaced.
         """
         if self._draw(SITE_POOL_BREAK):
-            raise BrokenProcessPool("chaos: injected pool break at submit")
+            raise BrokenPipeError("chaos: injected broken pipe at hand-over")
 
     # ------------------------------------------------------------- store
 

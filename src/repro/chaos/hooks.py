@@ -4,15 +4,16 @@ The parent-side :class:`~repro.chaos.engine.HarnessChaos` runtime makes
 every injection *decision*; worker processes receive explicit, picklable
 :data:`Action` directives and execute them blindly through
 :func:`apply_action`.  Keeping workers decision-free is what makes
-schedules convergent: a respawned worker holds no chaos state, so a lost
-chunk can never be re-killed by a stale counter — the parent's monotone
-site ticks alone decide, and their budgets bound total injections.
+schedules convergent: a replacement worker holds no chaos state, so a
+retried job can never be re-killed by a stale counter — the parent's
+monotone site ticks alone decide, and their budgets bound total
+injections.
 
 A ``backend-fail`` directive raises :class:`ChaosBackendError` on the
-spot.  :func:`apply_action` runs inside the chunk runner's per-job
-``try``, so the failure lands on exactly the job the directive was
-scheduled on — whatever its kind — and the executor's ordinary retry
-path re-runs it clean.
+spot.  :func:`apply_action` runs inside the job runner's ``try``, so the
+failure lands on exactly the job the directive was handed over with —
+whatever its kind — and the executor's ordinary retry path re-runs it
+clean.
 """
 
 import os

@@ -2,8 +2,8 @@
 
 A :class:`~repro.faults.FaultPlan` perturbs the simulated machine; a
 :class:`ChaosPlan` perturbs the machinery that runs it — worker processes,
-the process pool, the persistent :class:`~repro.engine.store.ResultStore`,
-and single jobs in a worker.  The two layers share one methodology
+their pipes, the persistent :class:`~repro.engine.store.ResultStore`, and
+single jobs in a worker.  The two layers share one methodology
 (*Validating Simplified Processor Models in Architectural Studies*): keep
 a complex, failure-prone path honest by differencing it against a trusted
 clean path.  Here the invariant under test is **convergence**: a batch run
@@ -23,11 +23,12 @@ convergence invariant is interleaving-independent by design).
 Two properties make every schedule *convergent by construction*:
 
 * **budgets** — each site fires at most ``max_per_site`` times per
-  :class:`~repro.chaos.engine.HarnessChaos` instance, so retries cannot
-  be starved forever (collateral chunk re-runs spend no attempts, and an
-  unbounded kill rate would otherwise re-kill them indefinitely);
+  :class:`~repro.chaos.engine.HarnessChaos` instance, so no job can be
+  starved forever (a job whose hand-over breaks goes back to the queue
+  with no attempt spent, and an unbounded break rate would otherwise
+  break every hand-over of it);
 * **a clean last attempt** — destructive worker actions are never
-  scheduled on a chunk's final permitted attempt (the executor passes the
+  scheduled on a job's final permitted attempt (the executor passes the
   attempt counter to the runtime), so the retry budget always has one
   clean shot left.
 
@@ -77,21 +78,21 @@ class ChaosPlan:
     """A seeded, declarative description of harness faults to inject.
 
     All fields default to "no fault"; a default-constructed plan is a
-    no-op.  Rates are per site visit (one chunk-job slot, one pool
-    submit, one store append) and each site fires at most
+    no-op.  Rates are per site visit (one job's hand-over to a worker,
+    one store append) and each site fires at most
     ``max_per_site`` times per runtime instance.
     """
 
     seed: int = 0
-    #: per-job-slot probability the worker process SIGKILLs itself
+    #: per-hand-over probability the worker process SIGKILLs itself
     kill_worker_rate: float = 0.0
-    #: per-job-slot probability the worker sleeps ``hang_s`` (watchdog bait)
+    #: per-hand-over probability the worker sleeps ``hang_s`` (watchdog bait)
     hang_worker_rate: float = 0.0
     hang_s: float = 2.0
-    #: per-job-slot probability of a benign ``slow_s`` sleep
+    #: per-hand-over probability of a benign ``slow_s`` sleep
     slow_worker_rate: float = 0.0
     slow_s: float = 0.01
-    #: per-submit probability of an injected ``BrokenProcessPool``
+    #: per-hand-over probability of an injected ``BrokenPipeError``
     pool_break_rate: float = 0.0
     #: per-append probability the store write raises ``OSError``
     write_fail_rate: float = 0.0
@@ -99,7 +100,7 @@ class ChaosPlan:
     torn_write_rate: float = 0.0
     #: per-append probability one bit of the framed record is flipped
     bitflip_rate: float = 0.0
-    #: per-job-slot probability the job fails before it runs
+    #: per-hand-over probability the job fails before it runs
     backend_fail_rate: float = 0.0
     #: hard-exit the process after this many completed store writes
     #: (0 = never).  Simulates a harness crash mid-batch; the soak

@@ -6,8 +6,8 @@ explorer, the CLI tools — goes through this package:
 * :mod:`repro.engine.jobs` — declarative :data:`~repro.engine.jobs.SimJob`
   descriptions (standalone / region-log / contest) with content-hash cache
   keys,
-* :mod:`repro.engine.executors` — a serial executor and a
-  process-pool-backed parallel one, interchangeable and bit-identical,
+* :mod:`repro.engine.executors` — a serial executor and a parallel one
+  over worker processes it owns, interchangeable and bit-identical,
 * :mod:`repro.engine.store` — the persistent JSON-lines result store,
 * :mod:`repro.engine.engine` — :class:`~repro.engine.engine.SimEngine`,
   which layers the in-memory cache and the store beneath an executor.
@@ -20,7 +20,6 @@ from repro.engine.executors import (
     ParallelExecutor,
     RetryPolicy,
     SerialExecutor,
-    derive_chunk_size,
 )
 from repro.engine.failures import JobFailure
 from repro.engine.jobs import (
@@ -45,7 +44,6 @@ __all__ = [
     "ResultStore",
     "RetryPolicy",
     "SerialExecutor",
-    "derive_chunk_size",
     "SimEngine",
     "SimJob",
     "StandaloneJob",

@@ -21,7 +21,7 @@ class JobFailure:
         The failed job's ``kind`` (``standalone`` / ``contest`` / ...).
     error_type:
         Exception class name, or a synthetic cause: ``WorkerDied`` (the
-        worker process vanished mid-chunk, e.g. OOM-killed) or
+        worker process vanished mid-job, e.g. OOM-killed) or
         ``JobTimeout`` (exceeded the retry policy's per-job budget).
     message:
         Human-readable detail.

@@ -270,8 +270,7 @@ RESULT_KINDS = ("standalone", "region_log", "contest")
 def execute_job(job: SimJob) -> Tuple[object, float]:
     """Run one job and time it; the unit of work executors map over.
 
-    Returns ``(result, wall_seconds)``.  Module-level so that
-    ``ProcessPoolExecutor`` can pickle a reference to it.
+    Returns ``(result, wall_seconds)``.
     """
     started = time.perf_counter()
     result = job.run()

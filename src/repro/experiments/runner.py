@@ -103,11 +103,11 @@ def build_engine(
 ) -> SimEngine:
     """Assemble the engine the runner uses.
 
-    ``jobs > 1`` selects the process-pool executor; ``cache_dir`` (or the
+    ``jobs > 1`` selects the parallel executor; ``cache_dir`` (or the
     default ``~/.cache/repro`` when it is the string ``"default"``) attaches
     the persistent result store unless ``no_cache`` is set.  The caller
     owns the engine's executor and closes it (``engine.executor.close()``)
-    when done, which joins its worker pool.
+    when done, which stops its worker processes.
     """
     executor = ParallelExecutor(workers=jobs) if jobs > 1 else None
     store = None
@@ -304,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _run_cli(args, engine)
     finally:
-        # join the worker pool: no worker outlives the command
+        # stop the worker processes: no worker outlives the command
         engine.executor.close()
 
 

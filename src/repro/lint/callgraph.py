@@ -41,7 +41,7 @@ from repro.lint.project import (
 #: callables whose positional argument is *executed on another thread*:
 #: ``(attribute name, index of the callable argument)``.
 THREAD_DISPATCH_ATTRS: Dict[str, int] = {
-    "submit": 0,           # Thread/ProcessPoolExecutor.submit(fn, ...)
+    "submit": 0,           # ThreadPoolExecutor.submit(fn, ...)
     "run_in_executor": 1,  # loop.run_in_executor(executor, fn, ...)
     "to_thread": 0,        # asyncio.to_thread(fn, ...)
 }

@@ -36,8 +36,6 @@ if TYPE_CHECKING:  # runtime import would be circular (callgraph -> project)
 EXTERNAL_CLASSES = {
     ("concurrent.futures", "ThreadPoolExecutor"):
         "concurrent.futures.ThreadPoolExecutor",
-    ("concurrent.futures", "ProcessPoolExecutor"):
-        "concurrent.futures.ProcessPoolExecutor",
     ("pathlib", "Path"): "pathlib.Path",
     ("threading", "Lock"): "threading.Lock",
     ("threading", "RLock"): "threading.RLock",

@@ -49,7 +49,6 @@ BLOCKING_SINKS = frozenset(
         "subprocess.Popen",
         "socket.create_connection",
         "concurrent.futures.ThreadPoolExecutor.shutdown",
-        "concurrent.futures.ProcessPoolExecutor.shutdown",
     }
 )
 

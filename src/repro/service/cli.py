@@ -35,10 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel-executor worker processes (0: derive from CPUs)",
     )
     parser.add_argument(
-        "--chunk-size", type=int, default=0,
-        help="jobs per worker task (0: derive)",
-    )
-    parser.add_argument(
         "--queue-limit", type=int, default=256,
         help="admission-queue capacity in jobs (beyond it: 503)",
     )
@@ -116,7 +112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        chunk_size=args.chunk_size,
         queue_limit=args.queue_limit,
         batch_max=args.batch_max,
         batch_window_s=args.batch_window,

@@ -169,14 +169,13 @@ def json_body(payload: object) -> bytes:
     ).encode()
 
 
-def sse_preamble(keep_alive: bool = False) -> bytes:
+def sse_preamble() -> bytes:
     """Response head opening a server-sent-event stream.
 
     The stream has no ``Content-Length``; the server signals the end by
     closing the connection, so SSE responses always send
     ``Connection: close``.
     """
-    del keep_alive  # an SSE stream always closes the connection
     return (
         b"HTTP/1.1 200 OK\r\n"
         b"Content-Type: text/event-stream\r\n"

@@ -120,9 +120,7 @@ class ServiceConfig:
     port: int = 0
     #: parallel-executor worker processes (0 derives from the CPU count)
     workers: int = 2
-    #: jobs per worker task (0 derives; see ``derive_chunk_size``)
-    chunk_size: int = 0
-    #: executor retry budget per chunk
+    #: executor attempts per job
     max_attempts: int = 3
     #: per-job wall-clock watchdog budget (None disables)
     job_timeout_s: Optional[float] = None
@@ -141,8 +139,8 @@ class ServiceConfig:
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workers < 0 or self.chunk_size < 0:
-            raise ValueError("workers and chunk_size must be >= 0")
+        if self.workers < 0:
+            raise ValueError("workers must be >= 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.queue_limit < 1 or self.batch_max < 1:
@@ -236,7 +234,6 @@ class SimService:
         self.engine = SimEngine(
             executor=ParallelExecutor(
                 workers=self.config.workers,
-                chunk_size=self.config.chunk_size,
                 retry=RetryPolicy(
                     max_attempts=self.config.max_attempts,
                     job_timeout_s=self.config.job_timeout_s,
@@ -372,7 +369,7 @@ class SimService:
             self._server = None
         # shutdown(wait=True) joins the worker thread — off-loop, so a
         # long final batch cannot stall health checks while we drain;
-        # with no batch left to use it, the process pool is joined too
+        # with no batch left to use them, the worker processes stop too
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self._batch_pool.shutdown)
         await loop.run_in_executor(None, self.engine.executor.close)

@@ -3,7 +3,6 @@
 import dataclasses
 
 import pytest
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.chaos import (
     ChaosBackendError,
@@ -23,7 +22,7 @@ from repro.chaos.plan import (
     SITE_WRITE_TORN,
 )
 from repro.engine import ContestJob, StandaloneJob
-from repro.engine.executors import _run_chunk
+from repro.engine.executors import _run_job
 from repro.uarch.config import core_config
 
 from tests.chaos.conftest import SPEC_A
@@ -100,7 +99,7 @@ class TestBudgets:
         for _ in range(10):
             try:
                 chaos.before_submit()
-            except BrokenProcessPool:
+            except BrokenPipeError:
                 breaks += 1
         assert breaks == 2
 
@@ -108,7 +107,7 @@ class TestBudgets:
 class TestChunkActions:
     def test_clean_plan_returns_none(self):
         chaos = HarnessChaos(ChaosPlan())
-        assert chaos.chunk_actions(4, attempt=1, max_attempts=3) is None
+        assert chaos.job_action(attempt=1, max_attempts=3) is None
 
     def test_last_attempt_is_always_clean_of_destruction(self):
         plan = ChaosPlan(
@@ -117,8 +116,8 @@ class TestChunkActions:
         )
         chaos = HarnessChaos(plan)
         for _ in range(20):
-            actions = chaos.chunk_actions(2, attempt=3, max_attempts=3)
-            assert actions is None
+            action = chaos.job_action(attempt=3, max_attempts=3)
+            assert action is None
         assert chaos.stats.kills == 0
         assert chaos.stats.hangs == 0
         assert chaos.stats.backend_fails == 0
@@ -126,15 +125,15 @@ class TestChunkActions:
     def test_slow_is_allowed_on_last_attempt(self):
         plan = ChaosPlan(seed=5, slow_worker_rate=1.0, slow_s=0.001)
         chaos = HarnessChaos(plan)
-        actions = chaos.chunk_actions(1, attempt=3, max_attempts=3)
-        assert actions == (("slow", 0.001),)
+        action = chaos.job_action(attempt=3, max_attempts=3)
+        assert action == ("slow", 0.001)
 
     def test_kill_scheduled_before_last_attempt(self):
         plan = ChaosPlan(seed=5, kill_worker_rate=1.0)
         chaos = HarnessChaos(plan)
-        actions = chaos.chunk_actions(2, attempt=1, max_attempts=3)
-        assert actions is not None
-        assert ("kill", 0.0) in actions
+        action = chaos.job_action(attempt=1, max_attempts=3)
+        assert action is not None
+        assert action == ("kill", 0.0)
 
 
 class TestStoreWriteBytes:
@@ -165,13 +164,13 @@ class TestStoreWriteBytes:
 
 class TestApplyAction:
     def test_backend_fail_hits_its_own_job_and_nothing_after(self):
-        # a directive scheduled on a contest slot must fail that contest,
-        # and must leave nothing armed for a later chunk sent clean
+        # a directive handed over with a contest must fail that contest,
+        # and must leave nothing armed for a later job sent clean
         contest = ContestJob((core_config("gcc"), core_config("gzip")), SPEC_A)
         standalone = StandaloneJob(core_config("gcc"), SPEC_A)
-        [failed] = _run_chunk([contest], (("backend-fail", 0.0),))
+        failed = _run_job(contest, ("backend-fail", 0.0))
         assert failed[:2] == ("err", ChaosBackendError.__name__)
-        [clean] = _run_chunk([standalone], None)
+        clean = _run_job(standalone, None)
         assert clean[0] == "ok"
 
     def test_unknown_action_rejected(self):
@@ -194,7 +193,8 @@ class TestCounters:
         from repro.telemetry.registry import StatRegistry
 
         chaos = HarnessChaos(ChaosPlan(seed=1, slow_worker_rate=1.0))
-        chaos.chunk_actions(3, attempt=1, max_attempts=3)
+        for _ in range(3):
+            chaos.job_action(attempt=1, max_attempts=3)
         registry = StatRegistry()
         chaos.register_into(registry)
         assert registry.get("chaos.slows").value == chaos.stats.slows

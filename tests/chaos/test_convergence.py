@@ -3,11 +3,11 @@
 For each seeded :meth:`ChaosPlan.sample` schedule, a forked child process
 runs the shared mixed batch through a ``ParallelExecutor`` and a shared
 ``ResultStore`` with the full chaos runtime attached — workers killed and
-hung, the pool broken at submit, store writes failed/torn/bit-flipped,
-single jobs failed in the worker, and (on crash schedules) the whole
-harness ``os._exit``-ing mid-batch.  The driver restarts crashed harnesses
-against the same store until a run completes, then asserts the invariant
-the whole layer exists for:
+hung, a worker's pipe broken at hand-over, store writes
+failed/torn/bit-flipped, single jobs failed in the worker, and (on crash
+schedules) the whole harness ``os._exit``-ing mid-batch.  The driver
+restarts crashed harnesses against the same store until a run completes,
+then asserts the invariant the whole layer exists for:
 
 * the completed run's results are **bit-identical** to the chaos-free
   serial baseline (no ``JobFailure``, no corrupt record served);
@@ -16,7 +16,7 @@ the whole layer exists for:
 The fast slice runs on every push; the full soak
 (:data:`SOAK_SEEDS` schedules, ``-m slow``) rides the nightly CI job.
 Schedules spend most of their wall time waiting (injected hangs sit out
-the watchdog budget) or starting spawned worker pools, so the first
+the watchdog budget) or starting spawned workers, so the first
 harness runs of the next :data:`AHEAD` selected schedules are already
 running while a test drives its own (:class:`Schedules`).
 """
@@ -47,7 +47,7 @@ SOAK_SEEDS = tuple(range(8, 208))
 #: retry budget every schedule runs under: enough attempts that the
 #: clean-last-attempt guarantee has room, timeouts generous enough that
 #: only injected hangs trip the watchdog
-RETRY = RetryPolicy(max_attempts=3, backoff_s=0.01, job_timeout_s=1.5)
+RETRY = RetryPolicy(max_attempts=3, job_timeout_s=1.5)
 
 #: restart ceiling per schedule (a crash schedule restarts once, with
 #: ``crash_after_writes`` disabled; more would mean a convergence bug)
@@ -66,14 +66,9 @@ def _harness_main(store_path, plan, conn):
     """
     chaos = HarnessChaos(plan)
     store = ResultStore(store_path, chaos=chaos)
-    executor = ParallelExecutor(
-        workers=2,
-        chunk_size=2,
-        retry=dataclasses.replace(RETRY, jitter_seed=plan.seed),
-        chaos=chaos,
-    )
-    # closed before the child exits: a multiprocessing child joins its
-    # live children on the way out, and idle pool workers never leave
+    executor = ParallelExecutor(workers=2, retry=RETRY, chaos=chaos)
+    # closed before the child exits, so its workers leave through a
+    # closed pipe rather than being terminated on the way out
     with executor:
         engine = SimEngine(executor=executor, store=store)
         results = engine.run_many(make_batch())
@@ -154,7 +149,7 @@ class Schedules:
     """This module's schedules, each started before its test needs it.
 
     When a test asks for its seed, the first harness runs of the next
-    :data:`AHEAD` selected schedules start too, so their waits and pool
+    :data:`AHEAD` selected schedules start too, so their waits and worker
     starts overlap with this one.  Each schedule still runs in its own
     forked harness against its own store, and each test asserts on its
     own seed only.  A seed that has already converged in this session is

@@ -1,7 +1,7 @@
 """Executor equivalence: where a job runs must never change its result.
 
-Also the worker pool's lifetime: one pool per executor, reused by every
-batch and joined by ``close()``, its workers each pinned to a CPU.
+Also the workers' lifetime: started once per executor, reused by every
+batch and stopped by ``close()``, each pinned to a CPU.
 """
 
 import os
@@ -34,9 +34,10 @@ JOBS = [
 
 @pytest.fixture(scope="module")
 def shared():
-    """One two-worker executor for the module: one pool start, not one
-    per test."""
-    with ParallelExecutor(workers=2, chunk_size=2) as executor:
+    """One two-worker executor for the module, its workers started once
+    rather than per test."""
+    with ParallelExecutor(workers=2) as executor:
+        worker_pids(executor)  # every worker started
         yield executor
 
 

@@ -98,7 +98,6 @@ def service_config(tmp_path, **overrides):
     """A test-sized :class:`ServiceConfig` with an isolated store."""
     settings = {
         "workers": 2,
-        "chunk_size": 2,
         "batch_window_s": 0.005,
         "cache_dir": str(tmp_path / "svc-store"),
     }

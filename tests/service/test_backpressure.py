@@ -144,7 +144,7 @@ def test_drain_finishes_admitted_work_and_refuses_new(tmp_path):
             assert stats["service.completed"] == 4
             assert stats["service.failed"] == 0
             # and left no worker process behind (the 4-job batch ran on
-            # the process pool)
+            # the worker processes)
             assert multiprocessing.active_children() == []
 
     run(scenario())

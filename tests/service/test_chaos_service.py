@@ -2,8 +2,8 @@
 
 The PR-7 :class:`HarnessChaos` runtime is threaded into a live
 :class:`SimService` — the same instance reaches the
-:class:`ParallelExecutor` (worker kills, benign slow-downs, pool breaks
-at submit) and the :class:`ResultStore` (failed, torn, and bit-flipped
+:class:`ParallelExecutor` (worker kills, benign slow-downs, broken
+pipes at hand-over) and the :class:`ResultStore` (failed, torn, and bit-flipped
 appends) — while two tenants submit the shared chaos batch over real
 sockets.  The convergence invariant carries over from ``tests/chaos``
 verbatim: every admitted job must end **done** with a result

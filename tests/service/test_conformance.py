@@ -266,7 +266,7 @@ def test_failed_job_is_reported_never_cached_and_retryable(tmp_path):
 
     async def scenario():
         config = service_config(
-            tmp_path, chunk_size=1, job_timeout_s=0.25, max_attempts=1,
+            tmp_path, job_timeout_s=0.25, max_attempts=1,
         )
         async with serving(config) as (service, client):
             rows = await client.submit([slow_job, fast[0]])
