@@ -51,7 +51,6 @@ def _percentile(samples, q):
 async def _measure(cache_dir):
     config = ServiceConfig(
         workers=2,
-        chunk_size=4,
         batch_window_s=0.002,
         quota_rate_per_s=100_000.0,
         quota_burst=100_000.0,
